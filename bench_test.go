@@ -913,19 +913,15 @@ func TestRecordReorderBench(t *testing.T) {
 	}
 }
 
-// --- BENCH_sift.json: rebuild vs in-place sifting engines -------------
+// --- BENCH_sift.json: the in-place sifting engine ---------------------
 //
 // TestRecordSiftBench is gated behind BENCH_SIFT=1 and writes
 // BENCH_sift.json: the bounded bfs-10 partitioned workload on the
-// 6- and 8-cell scaled arbiters and the 8-station token ring, once per
-// sifting engine (the legacy rebuild-per-trial engine kept as oracle
-// and the in-place adjacent-level-swap engine that replaced it as
-// default). Both engines see identical growth triggers and budgets, so
-// the artifact isolates the cost of a reorder trial: O(arena) rebuilds
-// against O(two levels) swaps. Kept fast on purpose: the CI bench-smoke
-// job replays it and gates peak live nodes (25%) plus total reordering
-// wall time (generous 2x, cmd/benchgate -time-metric) against this
-// baseline.
+// 6- and 8-cell scaled arbiters and the 8-station token ring with
+// growth-triggered sifting by in-place adjacent-level swaps. Kept fast
+// on purpose: the CI bench-smoke job replays it and gates peak live
+// nodes (25%) plus total reordering wall time (generous 2x,
+// cmd/benchgate -time-metric) against this baseline.
 
 type siftBenchEntry struct {
 	Model          string  `json:"model"`
@@ -956,16 +952,14 @@ func TestRecordSiftBench(t *testing.T) {
 		boundedSteps = 10
 	)
 
-	run := func(bm benchModel, engine string) siftBenchEntry {
+	run := func(bm benchModel) siftBenchEntry {
 		s, err := bm.compile()
 		if err != nil {
 			t.Fatalf("%s: %v", bm.name, err)
 		}
 		m := s.M
 		m.SetGCThreshold(gcThreshold)
-		opts := bdd.DefaultReorderOptions()
-		opts.UseRebuildSift = engine == "rebuild"
-		m.EnableAutoReorder(&opts)
+		m.EnableAutoReorder(nil)
 		m.GC()
 		s.ResetRelStats()
 		t0 := time.Now()
@@ -991,7 +985,7 @@ func TestRecordSiftBench(t *testing.T) {
 			BytesPerNode:   bpn,
 			Model:          bm.name,
 			Cells:          bm.cells,
-			Engine:         engine,
+			Engine:         "in-place",
 			Workload:       fmt.Sprintf("bfs-%d", boundedSteps),
 			WallMS:         float64(wall.Microseconds()) / 1000,
 			PeakLiveNodes:  rs.PeakLiveNodes,
@@ -1031,13 +1025,10 @@ func TestRecordSiftBench(t *testing.T) {
 
 	var entries []siftBenchEntry
 	for _, bm := range models {
-		rebuild := run(bm, "rebuild")
-		inPlace := run(bm, "in-place")
-		entries = append(entries, rebuild, inPlace)
-		t.Logf("%s: reorder %.1fms -> %.1fms (%.1fx), final live %d -> %d, %d swaps",
-			bm.name, rebuild.ReorderMS, inPlace.ReorderMS,
-			rebuild.ReorderMS/nonzero(inPlace.ReorderMS),
-			rebuild.FinalLiveNodes, inPlace.FinalLiveNodes, inPlace.SiftSwaps)
+		e := run(bm)
+		entries = append(entries, e)
+		t.Logf("%s: reorder %.1fms, final live %d, %d swaps",
+			bm.name, e.ReorderMS, e.FinalLiveNodes, e.SiftSwaps)
 	}
 
 	out, err := json.MarshalIndent(entries, "", "  ")
@@ -1048,32 +1039,11 @@ func TestRecordSiftBench(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Acceptance (ISSUE 5): on the 8-cell arbiter bfs-10 workload the
-	// in-place engine must cut total reordering wall time by at least 5x
-	// against the rebuild engine at an equal-or-better final live-node
-	// count — the whole point of making trials O(two levels).
-	byKey := map[string]siftBenchEntry{}
+	// The 8-cell arbiter bfs-10 workload must actually sift.
 	for _, e := range entries {
-		byKey[e.Model+"/"+e.Engine] = e
-	}
-	reb, inp := byKey["scaled-arbiter-k4/rebuild"], byKey["scaled-arbiter-k4/in-place"]
-	if inp.SiftEvents == 0 || inp.SiftSwaps == 0 {
-		t.Errorf("8 cells: in-place engine recorded no sift work (events=%d swaps=%d)",
-			inp.SiftEvents, inp.SiftSwaps)
-	}
-	if inp.ReorderMS*5 > reb.ReorderMS {
-		t.Errorf("8 cells: in-place reordering %.1fms not 5x below rebuild %.1fms",
-			inp.ReorderMS, reb.ReorderMS)
-	}
-	// The final count carries heuristic noise: the growth trigger fires
-	// at different points of the workload for the two engines, so they
-	// sift different DAGs and the greedy walks land on different orders
-	// (the gap swings both ways across models — see k3 vs ring-8 in the
-	// artifact). Gate it with the same 25% tolerance benchgate uses
-	// rather than demanding strict dominance.
-	if inp.FinalLiveNodes*4 > reb.FinalLiveNodes*5 {
-		t.Errorf("8 cells: in-place final live nodes %d more than 25%% worse than rebuild %d",
-			inp.FinalLiveNodes, reb.FinalLiveNodes)
+		if e.Model == "scaled-arbiter-k4" && (e.SiftEvents == 0 || e.SiftSwaps == 0) {
+			t.Errorf("8 cells: recorded no sift work (events=%d swaps=%d)", e.SiftEvents, e.SiftSwaps)
+		}
 	}
 }
 
@@ -1174,13 +1144,6 @@ func TestRecordLTLBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_ltl.json with %d entries", len(entries))
-}
-
-func nonzero(v float64) float64 {
-	if v <= 0 {
-		return 1e-9
-	}
-	return v
 }
 
 // --- BENCH_models.json: the scenario-corpus artifact ------------------

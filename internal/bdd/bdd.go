@@ -184,9 +184,8 @@ type Stats struct {
 	AndExistsHits    uint64
 
 	// Dynamic-reordering counters (see reorder.go and swap.go).
-	// Reorderings counts committed order changes: every arena rebuild
-	// (explicit Reorder and rebuild-engine sift trials) plus every
-	// in-place sift event that ends on a different order than it
+	// Reorderings counts committed order changes: every Reorder call
+	// and every sift event that ends on a different order than it
 	// started. AutoReorders counts growth-triggered sift events.
 	// SiftTrials counts candidate block positions evaluated, SiftSwaps
 	// the adjacent-level swaps executed, SiftTimeouts the sift events
@@ -275,6 +274,23 @@ func New(numVars int, opts ...Option) *Manager {
 	m.numAlloc = 1
 	for i := 0; i < numVars; i++ {
 		m.AddVar()
+	}
+	return m
+}
+
+// NewWithOrder creates a Manager over len(order) variables whose
+// initial variable order places order[i] at level i (order must be a
+// permutation of 0..len(order)-1). The arena starts empty apart from
+// the terminal, so installing the order is free. Options apply as in
+// New. Its one use is as a test reference: the canonical size of a set
+// of functions built from scratch under a given order, against which
+// the reorder tests check the swap engine.
+func NewWithOrder(order []int, opts ...Option) *Manager {
+	m := New(len(order), opts...)
+	m.validateOrder(order)
+	copy(m.level2var, order)
+	for l, v := range order {
+		m.var2level[v] = l
 	}
 	return m
 }

@@ -157,10 +157,16 @@ func TestReorderPreservesSemantics(t *testing.T) {
 		f, ref := randPair(r, m, n, 4)
 		order := r.Perm(n)
 		roots := m.Reorder(order, []Ref{f})
+		if roots[0] != f {
+			t.Fatalf("trial %d: Reorder moved the root %d -> %d", trial, f, roots[0])
+		}
 		checkAgainstTT(t, m, roots[0], ref, "after reorder")
 		if err := CheckInvariants(m); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		checkCanonicalSize(t, m, roots, func(c *Manager) []Ref {
+			return []Ref{fromTruthTable(c, n, ref.bits)}
+		})
 		// order actually applied
 		got := m.Order()
 		for i := range order {

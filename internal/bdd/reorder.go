@@ -8,36 +8,29 @@ import (
 
 // Variable reordering.
 //
-// Two engines share this file's policy layer:
-//
-//   - The rebuild engine (reorderTo) translates every root it must
-//     preserve into a fresh arena under the new order and swaps the
-//     arena in. It serves explicit Reorder(order) calls, group-adjacency
-//     normalization, and acts as the differential oracle for the swap
-//     engine. A rebuild is O(arena).
-//
-//   - The in-place engine (swap.go) realizes sifting as sequences of
-//     adjacent-level swaps, each touching only the nodes at the two
-//     swapped levels and preserving every other Ref bit-for-bit. It is
-//     the default behind SiftNow/EnableAutoReorder; set
-//     ReorderOptions.UseRebuildSift to fall back to the rebuild engine.
+// There is one reorder engine: in-place adjacent-level swaps (swap.go).
+// A swap touches only the nodes at the two swapped levels and keeps
+// every live node at its arena index, so Refs survive a reorder. Sifting
+// (SiftNow, and the growth-triggered EnableAutoReorder) walks blocks
+// through the order by swaps; an explicit Reorder(order) bubbles each
+// variable up to its target level.
 //
 // What makes reordering *dynamic* (usable mid-computation rather than
 // only offline) is the live-root registry: long-lived holders of Refs —
 // symbolic structures, checkers, saved witness rings — register a
-// rewriter callback (OnReorder) or plain pointers (RegisterRefs), and
-// every committed reorder rewrites their Refs in place (after an
-// in-place sift the translation is the identity — the hook still fires
-// so downstream caches invalidate on the same schedule). Registered
-// refs are also treated as GC roots, so a registered local survives
-// both a collection and a reorder.
+// rewriter callback (OnReorder) or plain pointers (RegisterRefs).
+// Registered refs are GC roots, and every reorder collects garbage
+// first, so registration is what keeps a Ref alive across a reorder.
+// After every committed reorder each rewriter fires with a translation
+// function, which is the identity since swaps move no node: the hook
+// still fires so downstream caches invalidate on the same schedule.
 //
 // Sifting moves one block at a time: each GroupVars block (typically a
 // current/next state-variable pair) travels as a unit, tried at every
 // candidate position with the placement minimizing the live-node count
-// kept. Trials growing past MaxGrowth times the best size so far are
-// abandoned (the rebuild engine aborts mid-translation; the swap engine
-// stops walking in that direction and returns to the best position).
+// kept. A walk that grows the arena past MaxGrowth times the best size
+// so far stops in that direction and the block returns to its best
+// position.
 //
 // Automatic reordering is growth-triggered: ReorderIfNeeded — called at
 // safe points where every needed Ref is registered or protected — sifts
@@ -45,9 +38,9 @@ import (
 // size.
 
 // rewriter is one registered reorder hook. The callback must be
-// deterministic: it is invoked twice per reorder (first to collect the
-// refs it holds, then to commit the translated values), and both
-// invocations must visit the same refs.
+// deterministic: it is invoked several times per reorder (to mark its
+// refs during the collection, to count them for the swap session, then
+// to commit), and every invocation must visit the same refs.
 type rewriter struct {
 	id int
 	fn func(translate func(Ref) Ref)
@@ -56,7 +49,9 @@ type rewriter struct {
 // OnReorder registers a rewriter callback and returns an id for
 // Unregister. After every committed reorder the callback is invoked with
 // a translation function and must pass every Ref its owner retains
-// through it, storing the results back. The refs the callback visits are
+// through it, storing the results back. The translation is currently the
+// identity (swaps keep every Ref), so the call is the owner's signal to
+// drop order-dependent caches. The refs the callback visits are
 // also marked during garbage collection, so they need no separate
 // Protect. The callback must not invoke manager operations.
 func (m *Manager) OnReorder(fn func(translate func(Ref) Ref)) int {
@@ -128,8 +123,9 @@ type ReorderOptions struct {
 	GrowthTrigger float64
 	// MinNodes: never auto-sift below this many live nodes (default 16k).
 	MinNodes int
-	// MaxGrowth: abort a placement trial whose rebuilt arena exceeds this
-	// multiple of the best size found so far (default 1.2).
+	// MaxGrowth: stop walking a block in one direction once the live-node
+	// count exceeds this multiple of the best size found so far
+	// (default 1.2).
 	MaxGrowth float64
 	// MaxPasses bounds the converging sift passes per event (default 3).
 	MaxPasses int
@@ -142,15 +138,11 @@ type ReorderOptions struct {
 	// Window: try positions at most this far from a block's current one
 	// (0 = every position).
 	Window int
-	// SiftMaxTime bounds the wall time of one sift event. The in-place
-	// engine checks it at swap granularity: when the budget runs out the
-	// block being sifted still returns to its best position, the event
-	// ends cleanly, and Stats.SiftTimeouts is bumped. 0 = no bound.
+	// SiftMaxTime bounds the wall time of one sift event. It is checked
+	// at swap granularity: when the budget runs out the block being
+	// sifted still returns to its best position, the event ends cleanly,
+	// and Stats.SiftTimeouts is bumped. 0 = no bound.
 	SiftMaxTime time.Duration
-	// UseRebuildSift routes SiftNow through the legacy rebuild engine
-	// (every trial re-translates the arena) instead of in-place swaps.
-	// Kept as a differential oracle and benchmark baseline.
-	UseRebuildSift bool
 }
 
 // DefaultReorderOptions returns the default automatic-sifting policy.
@@ -239,19 +231,44 @@ func (m *Manager) ReorderIfNeeded() bool {
 	return true
 }
 
-// Reorder rebuilds the manager under the new variable order (order[i] is
-// the variable to be placed at level i) and returns the given roots
-// translated, in the same positions. Protected roots and every ref held
-// by a registered rewriter are translated as well; any other Ref is
-// invalidated. Registered Permutations remain valid because they are
-// expressed over variable indices, not levels.
+// Reorder moves the manager to the new variable order (order[i] is the
+// variable to be placed at level i) by adjacent-level swaps: the
+// variable that belongs at each level is bubbled up to it. Swaps keep
+// every live node at its arena index, so the returned roots equal the
+// given ones, and protected roots and registered refs stay valid too.
+// A collection runs first (the roots are registered for its duration),
+// so any other unprotected Ref is invalidated. An order that already
+// matches returns at once and touches nothing. Registered Permutations
+// remain valid because they are expressed over variable indices, not
+// levels.
 func (m *Manager) Reorder(order []int, roots []Ref) []Ref {
 	m.validateOrder(order)
 	for _, r := range roots {
 		m.checkRef(r)
 	}
-	out, _ := m.reorderTo(order, roots, 0)
+	out := append([]Ref(nil), roots...)
+	if equalOrder(order, m.level2var) {
+		return out
+	}
+	if m.par != nil && m.par.inSection {
+		panic("bdd: Reorder inside a parallel section")
+	}
+	defer m.Unregister(m.registerSlice(out))
+	m.GC()
+	m.beginSwapSession()
+	m.swapToOrder(order)
+	m.endSwapSession()
 	return out
+}
+
+// registerSlice registers every element of rs with the reorder registry
+// and returns the id for Unregister.
+func (m *Manager) registerSlice(rs []Ref) int {
+	return m.OnReorder(func(translate func(Ref) Ref) {
+		for i := range rs {
+			rs[i] = translate(rs[i])
+		}
+	})
 }
 
 func (m *Manager) validateOrder(order []int) {
@@ -267,196 +284,26 @@ func (m *Manager) validateOrder(order []int) {
 	}
 }
 
-// freshForReorder allocates a bare arena for a rebuild under the given
-// order: per-level subtables pre-sized to the mean level population, a
-// small ITE cache for composeVar's out-of-order fallback, and nothing
-// else — trial rebuilds during sifting are frequent and must not
-// allocate the full caches.
-func (m *Manager) freshForReorder(order []int) *Manager {
-	per := 1 << 4
-	if len(order) > 0 {
-		for per*len(order)*2 < m.numAlloc {
-			per <<= 1
-		}
-	}
-	fresh := &Manager{
-		ite:       make([]iteEntry, 1<<14),
-		var2level: make([]int, len(order)),
-		level2var: make([]int, len(order)),
-		tables:    make([]subtable, len(order)),
-		noComp:    m.noComp, // trial arenas must share the representation
-	}
-	for l := range fresh.tables {
-		fresh.tables[l] = newSubtable(per)
-	}
-	fresh.nodes = make([]node, 1, m.numAlloc+1)
-	fresh.nodes[0] = node{lvl: terminalLevel, low: False, high: False}
-	fresh.numAlloc = 1
-	copy(fresh.level2var, order)
-	for l, v := range order {
-		fresh.var2level[v] = l
-	}
-	return fresh
-}
-
-// reorderTo is the rebuild engine behind Reorder and sifting. It runs in
-// three phases so a budget abort cannot leave clients inconsistent:
-//
-//  1. collect: every root the swap must preserve — extra, the protected
-//     roots, and each registered rewriter's refs (gathered by invoking
-//     the rewriter with an identity collector);
-//  2. translate: rebuild the collected roots in a fresh arena; if budget
-//     is non-zero and the fresh arena outgrows it, abandon the arena and
-//     return (nil, false) with the manager untouched;
-//  3. commit: swap the arena in, remap the protected-root table, clear
-//     the operation caches, and invoke every rewriter with the memoized
-//     translation so clients see the new Refs.
-func (m *Manager) reorderTo(order []int, extra []Ref, budget int) ([]Ref, bool) {
-	// Phase 1: collect.
-	collected := make([]Ref, 0, len(extra)+len(m.roots))
-	collected = append(collected, extra...)
-	for r := range m.roots {
-		collected = append(collected, r)
-	}
-	for _, rw := range m.rewriters {
-		rw.fn(func(r Ref) Ref {
-			m.checkRef(r)
-			collected = append(collected, r)
-			return r
-		})
-	}
-
-	// Phase 2: translate.
-	fresh := m.freshForReorder(order)
-	// memo maps old plain ref -> new plain ref (0 = untranslated). The
-	// sign splits off before the lookup and is re-applied to the result:
-	// translating preserves the function, and a plain canonical ref
-	// denotes a function that is false on the all-false assignment, so
-	// the translation of a plain non-terminal ref is always plain and
-	// non-zero — the 0 sentinel stays unambiguous.
-	memo := make([]Ref, len(m.nodes))
-	aborted := false
-	var translate func(Ref) Ref
-	translate = func(f Ref) Ref {
-		if IsTerminal(f) || aborted {
-			return f
-		}
-		s := f & compBit
-		fp := f ^ s
-		if r := memo[fp]; r != 0 {
-			return r ^ s
-		}
-		n := m.nodes[fp]
-		low := translate(n.low)
-		high := translate(n.high)
-		if aborted {
-			return False
-		}
-		v := m.level2var[n.lvl&^markBit]
-		res := fresh.composeVar(v, low, high)
-		if budget > 0 && fresh.numAlloc > budget {
-			aborted = true
-			return False
-		}
-		memo[fp] = res
-		return res ^ s
-	}
-	for _, r := range collected {
-		translate(r)
-		if aborted {
-			return nil, false
-		}
-	}
-
-	// Phase 3: commit.
-	lookup := func(r Ref) Ref {
-		if IsTerminal(r) {
-			return r
-		}
-		s := r & compBit
-		rp := r ^ s
-		if int(rp) >= len(memo) || memo[rp] == 0 {
-			panic("bdd: reorder rewriter returned a ref it did not collect")
-		}
-		return memo[rp] ^ s
-	}
-	out := make([]Ref, len(extra))
-	for i, r := range extra {
-		out[i] = lookup(r)
-	}
-	newRoots := make(map[Ref]int, len(m.roots))
-	for r, c := range m.roots {
-		newRoots[lookup(r)] += c
-	}
-	m.nodes = fresh.nodes
-	m.tables = fresh.tables
-	m.free = fresh.free
-	m.numFree = fresh.numFree
-	m.numAlloc = fresh.numAlloc
-	m.var2level = fresh.var2level
-	m.level2var = fresh.level2var
-	m.roots = newRoots
-	m.clearCaches()
-	for _, rw := range m.rewriters {
-		rw.fn(lookup)
-	}
-	m.Stats.Reorderings++
-	return out, true
-}
-
-// TotalSize returns the number of distinct nodes used by all roots
-// together (shared nodes counted once; a root and its complement share
-// everything).
-func (m *Manager) TotalSize(roots []Ref) int {
-	seen := make(map[Ref]bool)
-	var walk func(Ref)
-	walk = func(g Ref) {
-		g &^= compBit
-		if seen[g] {
-			return
-		}
-		seen[g] = true
-		if g == 0 {
-			return
-		}
-		n := &m.nodes[g]
-		walk(n.low)
-		walk(n.high)
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-	return len(seen)
-}
-
-// Sift runs a full sifting pass over the manager and returns the given
-// roots translated to the new order. The roots are registered for the
-// duration, so — unlike the pre-registry implementation — every other
-// protected or registered Ref is rewritten too instead of dangling.
-// Unprotected, unregistered Refs are invalidated (a collection runs
-// first).
+// Sift runs converging sifting passes over the manager and returns the
+// given roots, which are registered for the duration. Like every other
+// protected or registered Ref they survive the sift unchanged. Any
+// other Ref is invalidated (a collection runs first).
 func (m *Manager) Sift(roots []Ref) []Ref {
 	out := append([]Ref(nil), roots...)
 	if m.NumVars() <= 1 {
 		return out
 	}
 	if len(out) > 0 {
-		id := m.OnReorder(func(translate func(Ref) Ref) {
-			for i := range out {
-				out[i] = translate(out[i])
-			}
-		})
-		defer m.Unregister(id)
+		defer m.Unregister(m.registerSlice(out))
 	}
 	m.SiftNow()
 	return out
 }
 
-// SiftNow runs converging block-sifting passes until the improvement
-// drops below MinImprove or MaxPasses is reached. Garbage is collected
-// first, so every Ref the caller needs must be protected or registered.
-// The in-place swap engine runs unless UseRebuildSift selects the
-// legacy rebuild engine.
+// SiftNow runs converging block-sifting passes, in which every placement
+// trial is a run of in-place swaps, until the improvement drops below
+// MinImprove or MaxPasses is reached. Garbage is collected first, so
+// every Ref the caller needs must be protected or registered.
 func (m *Manager) SiftNow() {
 	if m.reordering || m.NumVars() <= 1 {
 		return
@@ -470,36 +317,30 @@ func (m *Manager) SiftNow() {
 	m.GC()
 	before := m.numAlloc
 	opts := m.reorderOpts
-
-	// Normalize: force every group's variables adjacent so blocks are
-	// contiguous level ranges from here on.
-	if norm := flattenBlocks(m.blockOrder()); !equalOrder(norm, m.level2var) {
-		m.reorderTo(norm, nil, 0)
+	var deadline time.Time
+	if opts.SiftMaxTime > 0 {
+		deadline = time.Now().Add(opts.SiftMaxTime)
 	}
-	if opts.UseRebuildSift {
-		m.siftNowRebuild(&opts)
-	} else {
-		m.siftNowSwap(&opts)
-	}
-	m.lastSiftSize = m.numAlloc
-	m.Stats.ReorderTime += time.Since(start)
-	m.Stats.ReorderSavedNodes += int64(before - m.numAlloc)
-}
-
-// siftNowRebuild is the legacy engine: every placement trial rebuilds
-// the arena under the candidate order. O(arena × trials); kept behind
-// UseRebuildSift as differential oracle and benchmark baseline. It
-// ignores SiftMaxTime (its trial granularity is a whole rebuild).
-func (m *Manager) siftNowRebuild(opts *ReorderOptions) {
+	m.beginSwapSession()
+	// Force every group's variables adjacent, so blocks are contiguous
+	// level ranges from here on.
+	m.swapToOrder(flattenBlocks(m.blockOrder()))
 	size := m.numAlloc
 	for pass := 0; pass < opts.MaxPasses; pass++ {
 		m.Stats.SiftPasses++
 		prev := size
-		size = m.siftPass(opts)
-		if prev-size < int(opts.MinImprove*float64(prev)) {
+		size = m.siftPassSwap(&opts, deadline)
+		if m.sift.timedOut || prev-size < int(opts.MinImprove*float64(prev)) {
 			break
 		}
 	}
+	if m.sift.timedOut {
+		m.Stats.SiftTimeouts++
+	}
+	m.endSwapSession()
+	m.lastSiftSize = m.numAlloc
+	m.Stats.ReorderTime += time.Since(start)
+	m.Stats.ReorderSavedNodes += int64(before - m.numAlloc)
 }
 
 // blockOrder returns the sifting blocks in current level order: each
@@ -551,112 +392,6 @@ func equalOrder(a, b []int) bool {
 	return true
 }
 
-// siftPass sifts the blocks in decreasing order of contribution (live
-// nodes labeled with the block's variables) and returns the resulting
-// live-node count.
-func (m *Manager) siftPass(opts *ReorderOptions) int {
-	blocks := m.blockOrder()
-	if len(blocks) <= 1 {
-		return m.numAlloc
-	}
-	blockOf := make(map[int]int)
-	for bi, b := range blocks {
-		for _, v := range b {
-			blockOf[v] = bi
-		}
-	}
-	contrib := make([]int, len(blocks))
-	for i := 1; i < len(m.nodes); i++ {
-		lvl := m.nodes[i].lvl &^ markBit
-		if lvl == terminalLevel { // free-list node
-			continue
-		}
-		contrib[blockOf[m.level2var[lvl]]]++
-	}
-	byContrib := make([]int, len(blocks))
-	for i := range byContrib {
-		byContrib[i] = i
-	}
-	sort.Slice(byContrib, func(i, j int) bool { return contrib[byContrib[i]] > contrib[byContrib[j]] })
-	limit := len(byContrib)
-	if opts.MaxBlocks > 0 && opts.MaxBlocks < limit {
-		limit = opts.MaxBlocks
-	}
-	for _, bi := range byContrib[:limit] {
-		if contrib[bi] == 0 {
-			continue
-		}
-		m.siftBlock(blocks[bi], opts)
-	}
-	return m.numAlloc
-}
-
-// siftBlock tries the block at every candidate position (all of them, or
-// within Window of the current one) and leaves the manager at the best
-// placement found. Trials growing past MaxGrowth times the best size so
-// far abort without effect.
-func (m *Manager) siftBlock(block []int, opts *ReorderOptions) {
-	cur := m.blockOrder()
-	pos := -1
-	for i, b := range cur {
-		if b[0] == block[0] {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 || len(cur) <= 1 {
-		return
-	}
-	bestSize := m.numAlloc
-	bestOrder := flattenBlocks(cur)
-	budget := growthBudget(opts, bestSize)
-	lo, hi := 0, len(cur)-1
-	if opts.Window > 0 {
-		if l := pos - opts.Window; l > lo {
-			lo = l
-		}
-		if h := pos + opts.Window; h < hi {
-			hi = h
-		}
-	}
-	for t := lo; t <= hi; t++ {
-		if t == pos {
-			continue
-		}
-		cand := flattenBlocks(moveBlock(cur, pos, t))
-		m.Stats.SiftTrials++
-		if _, ok := m.reorderTo(cand, nil, budget); !ok {
-			m.Stats.SiftAborts++
-			continue
-		}
-		if m.numAlloc < bestSize {
-			bestSize = m.numAlloc
-			bestOrder = cand
-			budget = growthBudget(opts, bestSize)
-		}
-	}
-	if !equalOrder(bestOrder, m.level2var) {
-		m.reorderTo(bestOrder, nil, 0)
-	}
-}
-
 func growthBudget(opts *ReorderOptions, size int) int {
 	return int(opts.MaxGrowth*float64(size)) + 64
-}
-
-// moveBlock returns a copy of blocks with the element at from moved to
-// position to.
-func moveBlock(blocks [][]int, from, to int) [][]int {
-	out := make([][]int, 0, len(blocks))
-	b := blocks[from]
-	for i, x := range blocks {
-		if i == from {
-			continue
-		}
-		out = append(out, x)
-	}
-	out = append(out, nil)
-	copy(out[to+1:], out[to:])
-	out[to] = b
-	return out
 }

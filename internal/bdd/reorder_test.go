@@ -85,6 +85,46 @@ func checkRootTable(t *testing.T, m *Manager, f Ref, tt bitTable, what string) {
 	}
 }
 
+// sharedSize counts the distinct nodes, the terminal included, that the
+// roots occupy together (f and ¬f share their nodes).
+func sharedSize(m *Manager, roots ...Ref) int {
+	seen := make(map[Ref]bool)
+	var walk func(Ref)
+	walk = func(f Ref) {
+		f &^= compBit
+		if seen[f] {
+			return
+		}
+		seen[f] = true
+		if f != 0 {
+			walk(m.nodes[f].low)
+			walk(m.nodes[f].high)
+		}
+	}
+	for _, r := range roots {
+		walk(r)
+	}
+	return len(seen)
+}
+
+// checkCanonicalSize is the structural oracle of the reorder tests: the
+// roots must occupy exactly as many nodes as the same functions, built
+// by build, occupy in a fresh manager created with NewWithOrder under
+// m's current order. A reordered diagram that evaluates correctly but
+// is not fully reduced or shared fails it.
+func checkCanonicalSize(t *testing.T, m *Manager, roots []Ref, build func(c *Manager) []Ref) {
+	t.Helper()
+	var opts []Option
+	if m.noComp {
+		opts = append(opts, DisableComplementEdges())
+	}
+	c := NewWithOrder(m.Order(), opts...)
+	if got, want := sharedSize(m, roots...), sharedSize(c, build(c)...); got != want {
+		t.Fatalf("roots occupy %d nodes under order %v; built from scratch they occupy %d",
+			got, m.Order(), want)
+	}
+}
+
 // TestAutoReorderPreservesRegisteredRoots is the reorder property test:
 // 300 random BDDs (including negations), built across 30 managers with
 // aggressive auto-sifting enabled, every root registered; at random
@@ -353,4 +393,85 @@ func FuzzSift(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReorderSplitGroupsThenSift: an explicit Reorder may split GroupVars
+// blocks; the next SiftNow first swaps every group back into adjacent
+// levels, and the functions come through intact and canonical.
+func TestReorderSplitGroupsThenSift(t *testing.T) {
+	const n = 6
+	for seed := int64(0); seed < 10; seed++ {
+		r := rand.New(rand.NewSource(300 + seed))
+		m := New(n)
+		for v := 0; v < n; v += 2 {
+			m.GroupVars(v, v+1)
+		}
+		m.EnableAutoReorder(&ReorderOptions{MinNodes: 1})
+		roots := make([]Ref, 3)
+		tables := make([]bitTable, 3)
+		for i := range roots {
+			roots[i], tables[i] = randTracked(r, m, n, 4)
+		}
+		id := m.RegisterRefs(&roots[0], &roots[1], &roots[2])
+
+		split := []int{0, 2, 4, 1, 3, 5}
+		m.Reorder(split, nil)
+		if got := m.Order(); !equalOrder(got, split) {
+			t.Fatalf("seed %d: order %v after Reorder(%v)", seed, got, split)
+		}
+		swaps := m.Stats.SiftSwaps
+		m.SiftNow()
+		if m.Stats.SiftSwaps == swaps {
+			t.Fatalf("seed %d: sift over split groups ran no swap", seed)
+		}
+		if err := CheckInvariants(m); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		pos := make([]int, n)
+		for lvl, v := range m.Order() {
+			pos[v] = lvl
+		}
+		for v := 0; v < n; v += 2 {
+			if d := pos[v] - pos[v+1]; d != 1 && d != -1 {
+				t.Fatalf("seed %d: group (%d,%d) still split: order %v", seed, v, v+1, m.Order())
+			}
+		}
+		for i, f := range roots {
+			checkRootTable(t, m, f, tables[i], "after normalizing sift")
+		}
+		checkCanonicalSize(t, m, roots, func(c *Manager) []Ref {
+			out := make([]Ref, len(tables))
+			for i, tt := range tables {
+				out[i] = fromTruthTable(c, n, tt.bits[0])
+			}
+			return out
+		})
+		m.Unregister(id)
+	}
+}
+
+// TestReorderToCurrentOrder: reordering to the order the manager already
+// has is free — no collection, no swap, no reordering counted — so the
+// operation caches stay warm.
+func TestReorderToCurrentOrder(t *testing.T) {
+	m := New(6)
+	f := m.Protect(m.Xor(m.Var(0), m.And(m.Var(3), m.Var(5))))
+	g := m.Protect(m.Or(m.Var(1), m.Eq(m.Var(2), m.Var(4))))
+	m.GC()
+	m.And(f, g) // prime the cache
+	before := m.Stats
+	roots := m.Reorder(m.Order(), []Ref{f, g})
+	if roots[0] != f || roots[1] != g {
+		t.Fatal("no-op Reorder changed the roots")
+	}
+	if m.Stats.SiftSwaps != before.SiftSwaps || m.Stats.Reorderings != before.Reorderings ||
+		m.Stats.GCRuns != before.GCRuns {
+		t.Fatalf("no-op Reorder did work: swaps %d->%d, reorderings %d->%d, GC runs %d->%d",
+			before.SiftSwaps, m.Stats.SiftSwaps, before.Reorderings, m.Stats.Reorderings,
+			before.GCRuns, m.Stats.GCRuns)
+	}
+	m.And(f, g)
+	if m.Stats.CacheHits == before.CacheHits {
+		t.Fatal("no-op Reorder dropped the op caches: repeated And missed")
+	}
 }

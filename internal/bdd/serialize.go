@@ -2,27 +2,28 @@ package bdd
 
 // Serialization of BDDs in a compact binary format, so that computed
 // transition relations and reachable-state sets can be checkpointed and
-// shared between runs. The format stores the variable order and the
-// node triples of the reachable subgraph in topological order; loading
-// replays mk() so the result is canonical in the target manager even if
-// its arena layout differs.
+// shared between runs. A file ("GOBDD3\n") stores the variable order,
+// the node triples of the reachable subgraph in topological order, and
+// the roots with their names. Loading replays the nodes through ITE, so
+// the result is canonical in the target manager even if its arena
+// layout or variable order differs.
 //
-// Format v2 ("GOBDD2\n") carries complement edges: the node table holds
-// plain nodes only (table index 0 is the terminal False) and every edge
-// and root is encoded as (tableIndex << 1) | complementBit, decoded
-// through Not on load — which works whether the target manager uses
-// complement edges or the structural representation. Files written by
-// the v1 format ("GOBDD1\n", two-terminal, no complement bits) are
-// still read; Save always writes v2.
+// Complement edges are carried on edges: the node table holds plain
+// nodes only (table index 0 is the terminal False) and every edge and
+// root is encoded as (tableIndex << 1) | complementBit, decoded through
+// Not on load — which works whether the target manager uses complement
+// edges or the structural representation. Each root record is a
+// length-prefixed UTF-8 name followed by its encoded edge; SaveNamed
+// writes the names, Save writes empty ones.
 //
-// Format v3 ("GOBDD3\n") is the warm-start record: the v2 body followed
-// by *named* roots (length-prefixed UTF-8 name + sign-encoded root per
-// entry), written by SaveNamed and read by LoadNamed. Because the saved
-// variable order travels with every version, a v3 reader can also adopt
-// it — reordering the target manager to the saved (sifted) order before
-// decoding — so a restarted process pays the dynamic-reordering work of
-// a model once, ever. Load accepts v3 files too, dropping the names;
-// LoadNamed accepts v1/v2 files, returning empty names.
+// Because the saved variable order travels with the file, LoadNamed can
+// also adopt it — reordering the target manager to the saved (sifted)
+// order before decoding — so a restarted process pays the
+// dynamic-reordering work of a model once, ever.
+//
+// Only this format is read. Files of the earlier formats ("GOBDD1\n",
+// "GOBDD2\n") fail with an *UnsupportedVersionError; warm-start records
+// are a cache, so such a file is simply a miss.
 
 import (
 	"bufio"
@@ -30,13 +31,23 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 )
 
 const (
-	serialMagicV1 = "GOBDD1\n"
-	serialMagicV2 = "GOBDD2\n"
-	serialMagicV3 = "GOBDD3\n"
+	serialMagicPrefix = "GOBDD"
+	serialMagic       = "GOBDD3\n"
 )
+
+// UnsupportedVersionError reports a saved-BDD file written in a format
+// version this package no longer reads.
+type UnsupportedVersionError struct {
+	Version string // the version tag of the file's magic, e.g. "2"
+}
+
+func (e *UnsupportedVersionError) Error() string {
+	return fmt.Sprintf("bdd: unsupported saved-BDD format version %q (only version 3 is read)", e.Version)
+}
 
 // maxSavedNameLen bounds the name records of a v3 file; anything longer
 // is a corrupt record, not a legitimate root name.
@@ -51,32 +62,20 @@ type NamedRoot struct {
 }
 
 // Save writes the given roots (and the manager's variable order) to w
-// in format v2.
+// as anonymous roots; Load reads them back in order.
 func (m *Manager) Save(w io.Writer, roots []Ref) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(serialMagicV2); err != nil {
-		return err
+	named := make([]NamedRoot, len(roots))
+	for i, r := range roots {
+		named[i] = NamedRoot{Ref: r}
 	}
-	enc, err := m.writeOrderAndNodes(bw, roots)
-	if err != nil {
-		return err
-	}
-	if err := writeU32To(bw, uint32(len(roots))); err != nil {
-		return err
-	}
-	for _, r := range roots {
-		if err := writeU32To(bw, enc(r)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return m.SaveNamed(w, named)
 }
 
 // SaveNamed writes the named roots (and the manager's variable order)
-// to w in format v3.
+// to w.
 func (m *Manager) SaveNamed(w io.Writer, roots []NamedRoot) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(serialMagicV3); err != nil {
+	if _, err := bw.WriteString(serialMagic); err != nil {
 		return err
 	}
 	refs := make([]Ref, len(roots))
@@ -115,8 +114,7 @@ func writeU32To(bw *bufio.Writer, x uint32) error {
 }
 
 // writeOrderAndNodes writes the variable order and the topologically
-// ordered node table of the given roots — the body shared by v2 and v3
-// — and returns the edge encoder ((tableIndex << 1) | complementBit)
+// ordered node table of the given roots and returns the edge encoder ((tableIndex << 1) | complementBit)
 // for the trailing root records.
 func (m *Manager) writeOrderAndNodes(bw *bufio.Writer, roots []Ref) (func(Ref) uint32, error) {
 	if err := writeU32To(bw, uint32(m.NumVars())); err != nil {
@@ -174,12 +172,12 @@ func (m *Manager) writeOrderAndNodes(bw *bufio.Writer, roots []Ref) (func(Ref) u
 	return enc, nil
 }
 
-// Load reads roots previously written by Save into the manager,
-// accepting both the current v2 format and legacy v1 files. The
-// manager must have at least as many variables as the saved order; the
-// saved levels are interpreted through the *saved* order, i.e. the
-// function is reconstructed over the same variable indices it was
-// built over (levels follow the target manager's current order).
+// Load reads roots previously written by Save or SaveNamed into the
+// manager, dropping their names. The manager must have at least as many
+// variables as the saved order; the saved levels are interpreted
+// through the *saved* order, i.e. the function is reconstructed over
+// the same variable indices it was built over (levels follow the target
+// manager's current order).
 func (m *Manager) Load(r io.Reader) ([]Ref, error) {
 	named, err := m.LoadNamed(r, false)
 	if err != nil {
@@ -192,41 +190,58 @@ func (m *Manager) Load(r io.Reader) ([]Ref, error) {
 	return roots, nil
 }
 
-// LoadNamed reads a saved BDD file of any version and returns its roots
-// with their names (v1/v2 files carry no names; theirs are empty). When
-// adoptOrder is true the manager is reordered to the saved variable
-// order before the nodes are decoded — the warm-start path: the sifted
-// order computed by a previous process is restored instead of being
-// re-derived by dynamic reordering. Adoption requires the saved order
-// to cover exactly the manager's variables.
+// LoadNamed reads a saved BDD file and returns its roots with their
+// names (empty for roots written by Save). When adoptOrder is true the
+// manager is reordered to the saved variable order before the nodes
+// are decoded — the warm-start path: the sifted order computed by a
+// previous process is restored instead of being re-derived by dynamic
+// reordering. Adoption requires the saved order to cover exactly the
+// manager's variables. A file of an earlier format version fails with
+// an *UnsupportedVersionError.
 func (m *Manager) LoadNamed(r io.Reader, adoptOrder bool) ([]NamedRoot, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(serialMagicV2))
+	magic := make([]byte, len(serialMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
 	}
-	switch string(magic) {
-	case serialMagicV3:
-		return m.loadV3(br, adoptOrder)
-	case serialMagicV2:
-		roots, err := m.loadV2(br, adoptOrder)
-		return anonRoots(roots), err
-	case serialMagicV1:
-		roots, err := m.loadV1(br, adoptOrder)
-		return anonRoots(roots), err
+	if s := string(magic); s != serialMagic {
+		if tag, ok := strings.CutPrefix(s, serialMagicPrefix); ok && strings.HasSuffix(tag, "\n") {
+			return nil, &UnsupportedVersionError{Version: strings.TrimSuffix(tag, "\n")}
+		}
+		return nil, errors.New("bdd: bad magic (not a saved BDD)")
 	}
-	return nil, errors.New("bdd: bad magic (not a saved BDD)")
-}
-
-func anonRoots(roots []Ref) []NamedRoot {
-	if roots == nil {
-		return nil
+	table, dec, err := m.loadNodeTable(br, adoptOrder)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]NamedRoot, len(roots))
-	for i, r := range roots {
-		out[i] = NamedRoot{Ref: r}
+	nroots, err := readU32From(br)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	roots := make([]NamedRoot, 0, clampPrealloc(nroots))
+	for i := uint32(0); i < nroots; i++ {
+		nameLen, err := readU32From(br)
+		if err != nil {
+			return nil, err
+		}
+		if nameLen > maxSavedNameLen {
+			return nil, errors.New("bdd: corrupt name record")
+		}
+		name := make([]byte, nameLen)
+		if _, err := io.ReadFull(br, name); err != nil {
+			return nil, err
+		}
+		e, err := readU32From(br)
+		if err != nil {
+			return nil, err
+		}
+		f, err := dec(e, uint32(len(table)))
+		if err != nil {
+			return nil, errors.New("bdd: corrupt root record")
+		}
+		roots = append(roots, NamedRoot{Name: string(name), Ref: f})
+	}
+	return roots, nil
 }
 
 // adoptSavedOrder reorders the manager to the saved level-to-variable
@@ -256,8 +271,7 @@ func readU32From(br *bufio.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(buf[:]), nil
 }
 
-// loadOrder reads the variable count and saved level-to-variable map
-// shared by both format versions.
+// loadOrder reads the variable count and saved level-to-variable map.
 func (m *Manager) loadOrder(br *bufio.Reader) ([]int, error) {
 	nvars, err := readU32From(br)
 	if err != nil {
@@ -280,9 +294,9 @@ func (m *Manager) loadOrder(br *bufio.Reader) ([]int, error) {
 	return savedLevel2Var, nil
 }
 
-// loadNodeTable reads the saved order and the node table — the body
-// shared by v2 and v3 — optionally adopting the saved variable order
-// first, and returns the decoded table plus the edge decoder.
+// loadNodeTable reads the saved order and the node table, optionally
+// adopting the saved variable order first, and returns the decoded
+// table plus the edge decoder.
 func (m *Manager) loadNodeTable(br *bufio.Reader, adoptOrder bool) ([]Ref, func(e, limit uint32) (Ref, error), error) {
 	savedLevel2Var, err := m.loadOrder(br)
 	if err != nil {
@@ -346,69 +360,6 @@ func (m *Manager) loadNodeTable(br *bufio.Reader, adoptOrder bool) ([]Ref, func(
 	return table, dec, nil
 }
 
-// loadV2 reads the body of a v2 file: plain node triples with
-// sign-encoded edges and roots.
-func (m *Manager) loadV2(br *bufio.Reader, adoptOrder bool) ([]Ref, error) {
-	table, dec, err := m.loadNodeTable(br, adoptOrder)
-	if err != nil {
-		return nil, err
-	}
-	nroots, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]Ref, 0, clampPrealloc(nroots))
-	for i := uint32(0); i < nroots; i++ {
-		e, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		f, err := dec(e, uint32(len(table)))
-		if err != nil {
-			return nil, errors.New("bdd: corrupt root record")
-		}
-		roots = append(roots, f)
-	}
-	return roots, nil
-}
-
-// loadV3 reads the body of a v3 file: the shared node table followed by
-// named roots.
-func (m *Manager) loadV3(br *bufio.Reader, adoptOrder bool) ([]NamedRoot, error) {
-	table, dec, err := m.loadNodeTable(br, adoptOrder)
-	if err != nil {
-		return nil, err
-	}
-	nroots, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]NamedRoot, 0, clampPrealloc(nroots))
-	for i := uint32(0); i < nroots; i++ {
-		nameLen, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > maxSavedNameLen {
-			return nil, errors.New("bdd: corrupt name record")
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, err
-		}
-		e, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		f, err := dec(e, uint32(len(table)))
-		if err != nil {
-			return nil, errors.New("bdd: corrupt root record")
-		}
-		roots = append(roots, NamedRoot{Name: string(name), Ref: f})
-	}
-	return roots, nil
-}
-
 // clampPrealloc bounds slice preallocation from untrusted counts; the
 // slices grow past it by appending, after the stream has actually
 // delivered that many records.
@@ -418,63 +369,4 @@ func clampPrealloc(n uint32) int {
 		return maxPrealloc
 	}
 	return int(n)
-}
-
-// loadV1 reads the body of a legacy v1 file: two-terminal node table
-// (indices 0 and 1 are False and True), no complement bits.
-func (m *Manager) loadV1(br *bufio.Reader, adoptOrder bool) ([]Ref, error) {
-	savedLevel2Var, err := m.loadOrder(br)
-	if err != nil {
-		return nil, err
-	}
-	if adoptOrder {
-		if err := m.adoptSavedOrder(savedLevel2Var); err != nil {
-			return nil, err
-		}
-	}
-	nvars := uint32(len(savedLevel2Var))
-
-	nnodes, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	table := make([]Ref, 2, clampPrealloc(nnodes+2))
-	table[0] = False
-	table[1] = True
-	for i := uint32(0); i < nnodes; i++ {
-		lvl, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		lowIdx, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		highIdx, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		if lvl >= nvars || lowIdx >= i+2 || highIdx >= i+2 {
-			return nil, errors.New("bdd: corrupt node record")
-		}
-		v := savedLevel2Var[lvl]
-		low, high := table[lowIdx], table[highIdx]
-		table = append(table, m.ite3(m.Var(v), high, low))
-	}
-	nroots, err := readU32From(br)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]Ref, 0, clampPrealloc(nroots))
-	for i := uint32(0); i < nroots; i++ {
-		idx, err := readU32From(br)
-		if err != nil {
-			return nil, err
-		}
-		if idx >= uint32(len(table)) {
-			return nil, errors.New("bdd: corrupt root record")
-		}
-		roots = append(roots, table[idx])
-	}
-	return roots, nil
 }

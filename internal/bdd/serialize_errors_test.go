@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// goldenV2 saves a nontrivial function pair (including a complemented
-// root) and returns the raw v2 bytes.
-func goldenV2(t *testing.T) []byte {
+// goldenSave saves a nontrivial function family (including a
+// complemented root) as anonymous roots and returns the raw bytes.
+func goldenSave(t *testing.T) []byte {
 	t.Helper()
 	m := New(4)
 	f := m.Xor(m.Var(0), m.And(m.Var(1), m.Var(3)))
@@ -36,30 +36,6 @@ func goldenV3(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// goldenV1 hand-assembles a legacy v1 stream (Save only writes v2):
-// the two-variable xor from TestLoadV1Legacy.
-func goldenV1(t *testing.T) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString("GOBDD1\n")
-	u32 := func(xs ...uint32) {
-		for _, x := range xs {
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], x)
-			buf.Write(b[:])
-		}
-	}
-	u32(2)       // nvars
-	u32(0, 1)    // saved order
-	u32(3)       // node count
-	u32(1, 0, 1) // idx 2: x1
-	u32(1, 1, 0) // idx 3: ¬x1
-	u32(0, 2, 3) // idx 4: x0 ⊕ x1
-	u32(2)       // root count
-	u32(4, 1)    // roots
-	return buf.Bytes()
-}
-
 // loadNoPanic runs Load and converts any panic into a test failure that
 // names the mutated input, so one bad offset doesn't mask the rest of
 // the sweep.
@@ -75,16 +51,15 @@ func loadNoPanic(t *testing.T, m *Manager, data []byte, what string) (roots []Re
 	return m.Load(bytes.NewReader(data))
 }
 
-// TestLoadTruncatedEveryPrefix feeds every strict prefix of a valid v1
-// and v2 stream to Load: each must return an error — there is no prefix
+// TestLoadTruncatedEveryPrefix feeds every strict prefix of a valid
+// stream, with anonymous and with named roots, to Load: each must return an error — there is no prefix
 // of a saved BDD that is itself a complete file — and none may panic.
 func TestLoadTruncatedEveryPrefix(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"v2", goldenV2(t)},
-		{"v1", goldenV1(t)},
+		{"v3_anon", goldenSave(t)},
 		{"v3", goldenV3(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,8 +83,7 @@ func TestLoadBitFlipSweep(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"v2", goldenV2(t)},
-		{"v1", goldenV1(t)},
+		{"v3_anon", goldenSave(t)},
 		{"v3", goldenV3(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,10 +112,10 @@ func TestLoadBitFlipSweep(t *testing.T) {
 }
 
 // TestLoadCorruptRecords exercises each explicit rejection path of the
-// v2 loader with targeted corruptions of a known-good stream, checking
-// the error (not a panic, not a silent success) surfaces.
+// loader with targeted corruptions of a known-good stream, checking the
+// error (not a panic, not a silent success) surfaces.
 func TestLoadCorruptRecords(t *testing.T) {
-	base := goldenV2(t)
+	base := goldenSave(t)
 	u32at := func(data []byte, off int, v uint32) []byte {
 		out := append([]byte(nil), data...)
 		binary.LittleEndian.PutUint32(out[off:], v)
@@ -154,12 +128,14 @@ func TestLoadCorruptRecords(t *testing.T) {
 		offCount = offOrder + 16
 		offNodes = offCount + 4 // first node triple
 	)
+	// The trailer is the root count, then per root (three of them) an
+	// empty name's length word and the encoded edge.
+	offRootCount := len(base) - 4 - 3*8
 	cases := []struct {
 		name string
 		data []byte
 	}{
 		{"wrong magic", append([]byte("NOTBDD!"), base[hdr:]...)},
-		{"v3 magic", append([]byte("GOBDD3\n"), base[hdr:]...)},
 		{"empty", nil},
 		{"magic only", base[:hdr]},
 		{"variable overflow", u32at(base, offNvars, 99)},
@@ -167,7 +143,7 @@ func TestLoadCorruptRecords(t *testing.T) {
 		{"node level out of range", u32at(base, offNodes, 12)},
 		{"forward edge reference", u32at(base, offNodes+4, 500<<1)},
 		{"huge node count, truncated body", u32at(base, offCount, 0xFFFFFFF0)},
-		{"huge root count, truncated body", u32at(base, len(base)-12, 0xFFFFFFF0)},
+		{"huge root count, truncated body", u32at(base, offRootCount, 0xFFFFFFF0)},
 		{"root index out of range", u32at(base, len(base)-4, 500<<1)},
 	}
 	for _, tc := range cases {
@@ -218,7 +194,7 @@ func TestLoadV3CorruptRecords(t *testing.T) {
 }
 
 // TestLoadSignBitCorruption flips exactly the complement bit of every
-// edge and root record in the v2 stream: each mutant is a VALID file
+// edge and root record in a saved stream: each mutant is a VALID file
 // denoting different functions, so Load must succeed and the loaded
 // roots must still be canonical (involutive complements, consistent
 // with a fresh evaluation).
@@ -231,8 +207,9 @@ func TestLoadSignBitCorruption(t *testing.T) {
 	}
 	base := buf.Bytes()
 	// Record layout after the 7-byte magic: nvars, order×4, nnodes, then
-	// triples (lvl, low, high) and finally nroots + roots. Edge fields
-	// are the 2nd and 3rd word of each triple, and every root word.
+	// triples (lvl, low, high) and finally nroots + roots, each an empty
+	// name's length word and the encoded edge. Edge fields are the 2nd
+	// and 3rd word of each triple, and every root's edge word.
 	var nnodes uint32 = binary.LittleEndian.Uint32(base[7+4+16:])
 	edgeOffsets := []int{}
 	nodeBase := 7 + 4 + 16 + 4
@@ -243,7 +220,7 @@ func TestLoadSignBitCorruption(t *testing.T) {
 	rootBase := nodeBase + int(nnodes)*12 + 4
 	nroots := binary.LittleEndian.Uint32(base[rootBase-4:])
 	for i := uint32(0); i < nroots; i++ {
-		edgeOffsets = append(edgeOffsets, rootBase+int(i)*4)
+		edgeOffsets = append(edgeOffsets, rootBase+int(i)*8+4)
 	}
 	for _, off := range edgeOffsets {
 		mutant := append([]byte(nil), base...)

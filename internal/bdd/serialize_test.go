@@ -2,7 +2,7 @@ package bdd
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -85,7 +85,7 @@ func TestSaveLoadTerminals(t *testing.T) {
 	}
 }
 
-// TestSaveLoadComplementCrossMode is the v2 round-trip property over
+// TestSaveLoadComplementCrossMode is the round-trip property over
 // complemented refs: random functions and their negations are saved
 // from a manager in either representation and loaded into a manager in
 // either representation. All four pairings must reproduce the exact
@@ -126,67 +126,30 @@ func TestSaveLoadComplementCrossMode(t *testing.T) {
 	}
 }
 
-// TestLoadV1Legacy feeds a hand-assembled legacy v1 file (two-terminal
-// table, no complement bits) to Load and checks the functions come back
-// intact in both representations.
-func TestLoadV1Legacy(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("GOBDD1\n")
-	u32 := func(xs ...uint32) {
-		for _, x := range xs {
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], x)
-			buf.Write(b[:])
-		}
-	}
-	u32(2)       // nvars
-	u32(0)       // level 0 holds variable 0
-	u32(1)       // level 1 holds variable 1
-	u32(3)       // node count (table indices 0,1 are the terminals)
-	u32(1, 0, 1) // idx 2: x1       (level 1, low=False, high=True)
-	u32(1, 1, 0) // idx 3: ¬x1      (level 1, low=True, high=False)
-	u32(0, 2, 3) // idx 4: x0 ⊕ x1  (level 0, low=x1, high=¬x1)
-	u32(2)       // root count
-	u32(4, 1)    // roots: x0 ⊕ x1, True
-
-	want := ttVar(2, 0).xor(ttVar(2, 1))
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"comp", nil},
-		{"nocomp", []Option{DisableComplementEdges()}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := New(2, tc.opts...)
-			roots, err := m.Load(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(roots) != 2 {
-				t.Fatalf("got %d roots", len(roots))
-			}
-			checkAgainstTT(t, m, roots[0], want, "v1 xor")
-			if roots[1] != True {
-				t.Fatal("v1 terminal root did not load as True")
-			}
-		})
-	}
-}
-
 func TestLoadErrors(t *testing.T) {
 	m := New(2)
-	// bad magic
-	if _, err := m.Load(strings.NewReader("NOTABDD")); err == nil {
-		t.Fatal("bad magic must fail")
-	}
-	// truncated
 	var buf bytes.Buffer
 	f := m.And(m.Var(0), m.Var(1))
 	if err := m.Save(&buf, []Ref{f}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
+	// bad magic; the earlier format versions fail with a typed error
+	for _, tc := range []struct{ magic, version string }{
+		{"NOTABDD", ""},
+		{"GOBDD1\n", "1"},
+		{"GOBDD2\n", "2"},
+	} {
+		_, err := m.Load(strings.NewReader(tc.magic + string(data[len(tc.magic):])))
+		if err == nil {
+			t.Fatalf("magic %q must fail", tc.magic)
+		}
+		var uv *UnsupportedVersionError
+		if isUV := errors.As(err, &uv); isUV != (tc.version != "") || isUV && uv.Version != tc.version {
+			t.Fatalf("magic %q: got error %v", tc.magic, err)
+		}
+	}
+	// truncated
 	if _, err := m.Load(bytes.NewReader(data[:len(data)-3])); err == nil {
 		t.Fatal("truncated input must fail")
 	}

@@ -130,73 +130,30 @@ func TestLoadNamedAdoptOrderPostSift(t *testing.T) {
 	}
 }
 
-// TestLoadNamedAdoptOrderLegacy: adoption also applies to v1/v2 files,
-// whose headers carry the same saved order.
-func TestLoadNamedAdoptOrderLegacy(t *testing.T) {
-	r := rand.New(rand.NewSource(73))
-	const n = 5
-	m := New(n)
-	f, ref := randPair(r, m, n, 4)
-	m.Protect(f)
-	rs := m.Reorder(r.Perm(n), []Ref{f})
-	f = rs[0]
+// TestSaveWritesAnonymousRoots: Save writes the one current format with
+// empty root names, and LoadNamed reads it back in order, complement
+// pairs intact.
+func TestSaveWritesAnonymousRoots(t *testing.T) {
+	m := New(4)
+	f := m.Xor(m.Var(0), m.And(m.Var(1), m.Var(3)))
 	var buf bytes.Buffer
-	if err := m.Save(&buf, []Ref{f}); err != nil {
+	if err := m.Save(&buf, []Ref{f, m.Not(f)}); err != nil {
 		t.Fatal(err)
 	}
-	m2 := New(n)
-	roots, err := m2.LoadNamed(bytes.NewReader(buf.Bytes()), true)
+	if !bytes.HasPrefix(buf.Bytes(), []byte(serialMagic)) {
+		t.Fatalf("Save wrote magic %q", buf.Bytes()[:len(serialMagic)])
+	}
+	m2 := New(4)
+	roots, err := m2.LoadNamed(bytes.NewReader(buf.Bytes()), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if roots[0].Name != "" {
-		t.Fatalf("v2 file produced a named root %q", roots[0].Name)
+	if len(roots) != 2 || roots[0].Name != "" || roots[1].Name != "" {
+		t.Fatalf("Save roots should be anonymous: %+v", roots)
 	}
-	got, want := m2.Order(), m.Order()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order not adopted from v2 file: got %v want %v", got, want)
-		}
+	if roots[0].Ref != m2.Xor(m2.Var(0), m2.And(m2.Var(1), m2.Var(3))) || roots[1].Ref != m2.Not(roots[0].Ref) {
+		t.Fatal("saved functions or complement pair lost through LoadNamed")
 	}
-	checkAgainstTT(t, m2, roots[0].Ref, ref, "v2 adopted-order load")
-}
-
-// TestLoadNamedBackCompat reads v1 and v2 streams through LoadNamed:
-// functions come back with empty names.
-func TestLoadNamedBackCompat(t *testing.T) {
-	t.Run("v2", func(t *testing.T) {
-		m := New(4)
-		f := m.Xor(m.Var(0), m.And(m.Var(1), m.Var(3)))
-		var buf bytes.Buffer
-		if err := m.Save(&buf, []Ref{f, m.Not(f)}); err != nil {
-			t.Fatal(err)
-		}
-		m2 := New(4)
-		roots, err := m2.LoadNamed(bytes.NewReader(buf.Bytes()), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(roots) != 2 || roots[0].Name != "" || roots[1].Name != "" {
-			t.Fatalf("v2 roots should be anonymous: %+v", roots)
-		}
-		if roots[1].Ref != m2.Not(roots[0].Ref) {
-			t.Fatal("v2 complement pair lost through LoadNamed")
-		}
-	})
-	t.Run("v1", func(t *testing.T) {
-		m := New(2)
-		roots, err := m.LoadNamed(bytes.NewReader(goldenV1(t)), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(roots) != 2 || roots[0].Name != "" {
-			t.Fatalf("v1 roots should be anonymous: %+v", roots)
-		}
-		want := m.Xor(m.Var(0), m.Var(1))
-		if roots[0].Ref != want || roots[1].Ref != True {
-			t.Fatal("v1 functions wrong through LoadNamed")
-		}
-	})
 }
 
 // TestLoadStripsV3Names: the unnamed Load entry point accepts v3 files,

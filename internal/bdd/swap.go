@@ -63,6 +63,7 @@ type siftState struct {
 	rc            []int32  // per-node refcount: in-edges + roots + rewriter refs
 	zero          []uint32 // dead candidates: nodes whose refcount hit zero
 	upper, lower  []uint32 // detachLevel scratch
+	startOrder    []int    // level2var when the session opened
 	swaps         uint64   // swaps executed this session
 	cachesCleared bool     // op caches dropped (lazily, at the first swap)
 	timedOut      bool     // SiftMaxTime expired
@@ -92,9 +93,12 @@ func (st *siftState) drop(f Ref) {
 
 // beginSwapSession builds the refcounts the swaps need. It must run
 // right after a GC (every live node reachable, free slots identifiable
-// by their terminalLevel sentinel), which SiftNow guarantees.
+// by their terminalLevel sentinel), which SiftNow and Reorder guarantee.
 func (m *Manager) beginSwapSession() {
-	st := &siftState{rc: make([]int32, len(m.nodes))}
+	st := &siftState{
+		rc:         make([]int32, len(m.nodes)),
+		startOrder: append([]int(nil), m.level2var...),
+	}
 	for i := 1; i < len(m.nodes); i++ {
 		n := &m.nodes[i]
 		if n.lvl == terminalLevel { // free slot
@@ -116,7 +120,23 @@ func (m *Manager) beginSwapSession() {
 	m.sift = st
 }
 
-func (m *Manager) endSwapSession() { m.sift = nil }
+// endSwapSession commits the session. An order change counts as one
+// reordering, and if any swap ran every rewriter fires with the identity
+// translation: Refs survived the swaps untranslated, but the hook
+// contract is that rewriters fire after every committed reorder —
+// clients key their own cache invalidation off that signal.
+func (m *Manager) endSwapSession() {
+	st := m.sift
+	m.sift = nil
+	if !equalOrder(st.startOrder, m.level2var) {
+		m.Stats.Reorderings++
+	}
+	if st.swaps > 0 {
+		for _, rw := range m.rewriters {
+			rw.fn(func(r Ref) Ref { return r })
+		}
+	}
+}
 
 // swapMk is mk plus refcount upkeep: a freshly created node contributes
 // one in-edge to each child. The caller accounts for its own edge to
@@ -266,6 +286,18 @@ func (m *Manager) swapLevels(l int) {
 	m.reapDead()
 }
 
+// swapToOrder bubbles the variable that belongs at each level up to it
+// (order[i] is the variable for level i): one adjacent swap per pair of
+// variables the two orders rank differently. Requires an active swap
+// session.
+func (m *Manager) swapToOrder(order []int) {
+	for l, v := range order {
+		for k := m.var2level[v]; k > l; k-- {
+			m.swapLevels(k - 1)
+		}
+	}
+}
+
 // exchangeAdjacentBlocks swaps the adjacent level ranges [s, s+w1) and
 // [s+w1, s+w1+w2) by bubbling each level of the second block up through
 // the first: w1*w2 adjacent swaps.
@@ -277,46 +309,9 @@ func (m *Manager) exchangeAdjacentBlocks(s, w1, w2 int) {
 	}
 }
 
-// siftNowSwap is the default SiftNow engine: converging passes of block
-// sifting in which every placement trial is a run of in-place swaps.
-// SiftNow has already collected garbage and normalized group adjacency.
-func (m *Manager) siftNowSwap(opts *ReorderOptions) {
-	startOrder := append([]int(nil), m.level2var...)
-	var deadline time.Time
-	if opts.SiftMaxTime > 0 {
-		deadline = time.Now().Add(opts.SiftMaxTime)
-	}
-	m.beginSwapSession()
-	size := m.numAlloc
-	for pass := 0; pass < opts.MaxPasses; pass++ {
-		m.Stats.SiftPasses++
-		prev := size
-		size = m.siftPassSwap(opts, deadline)
-		if m.sift.timedOut || prev-size < int(opts.MinImprove*float64(prev)) {
-			break
-		}
-	}
-	swapped := m.sift.swaps > 0
-	if m.sift.timedOut {
-		m.Stats.SiftTimeouts++
-	}
-	m.endSwapSession()
-	if !equalOrder(startOrder, m.level2var) {
-		m.Stats.Reorderings++
-	}
-	if swapped {
-		// Refs survived the swaps untranslated, but the hook contract
-		// is that rewriters fire after every committed sift — clients
-		// key their own cache invalidation off that signal.
-		for _, rw := range m.rewriters {
-			rw.fn(func(r Ref) Ref { return r })
-		}
-	}
-}
-
 // siftPassSwap sifts the blocks in decreasing order of contribution and
 // returns the resulting live-node count. Contribution is read off the
-// per-level counts — O(levels), where the rebuild pass scans the arena.
+// per-level counts — O(levels), no arena scan.
 func (m *Manager) siftPassSwap(opts *ReorderOptions, deadline time.Time) int {
 	blocks := m.blockOrder()
 	if len(blocks) <= 1 {

@@ -2,6 +2,7 @@ package smv
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 
 	"repro/internal/bdd"
@@ -428,8 +429,14 @@ func (c *Compiled) registerAtoms() error {
 			return c.encodeValue(info, idx, false), nil
 		})
 	}
+	// Sorted, not map order: evaluation builds BDDs and fills the memo,
+	// so the order must not change from run to run.
+	defines := make([]string, 0, len(c.defines))
 	for name := range c.defines {
-		name := name
+		defines = append(defines, name)
+	}
+	sort.Strings(defines)
+	for _, name := range defines {
 		// DEFINEs act as boolean atoms and as eq-atoms when valued.
 		// Evaluate through the memo (evalIdent) so the eq-atom closure
 		// below aliases the case slice the reorder hook rewrites in place.
