@@ -21,9 +21,10 @@
 //	-ltl F       check LTL formula F in addition to the model's LTLSPECs
 //	-reorder     enable dynamic variable reordering (growth-triggered sifting)
 //	-disjunctive use the disjunctive (per-process) image on interleaved models
-//	-workers N   evaluate BDD operations on N goroutines sharing one
-//	             manager (all image modes; disjunctive components also
-//	             run as concurrent jobs)
+//	-workers N   evaluate large BDD operations on N goroutines sharing
+//	             one manager (disjunctive components also run as
+//	             concurrent jobs); only large conjunctive image steps
+//	             have been measured faster, small models run slower
 //	-delta       print traces showing only changed variables per state
 //	-reachable   report the number of reachable states first
 //	-witness     for specs that hold and are existential, print a witness
@@ -75,7 +76,7 @@ func main() {
 	ltlSpec := flag.String("ltl", "", "check an LTL formula in addition to the model's LTLSPEC sections")
 	reorder := flag.Bool("reorder", false, "enable dynamic variable reordering")
 	disjunctive := flag.Bool("disjunctive", false, "use the disjunctive (per-process) image on interleaved models")
-	workers := flag.Int("workers", 1, "worker goroutines for parallel BDD evaluation on the shared manager (all image modes)")
+	workers := flag.Int("workers", 1, "worker goroutines for parallel BDD evaluation on the shared manager (pays off only on large image steps; slower on small models)")
 	noComplement := flag.Bool("no-complement", false, "disable complement edges (legacy structural negation)")
 	server := flag.String("server", "", "check via a running smvd at this base URL instead of locally")
 	cacheDir := flag.String("cache-dir", "", "warm-start from (and write) smvd warm records in this directory")

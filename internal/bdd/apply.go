@@ -29,9 +29,15 @@ func (m *Manager) Ite(f, g, h Ref) Ref {
 	m.checkRef(g)
 	m.checkRef(h)
 	if m.parGate(f, g, h) {
-		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.parIte(c, f, g, h, 0) })
+		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.ite3(c, f, g, h, 0) })
 	}
-	return m.ite3(f, g, h)
+	return m.iteSeq(f, g, h)
+}
+
+// iteSeq runs ite3 in the sequential context, which never fails.
+func (m *Manager) iteSeq(f, g, h Ref) Ref {
+	res, _ := m.ite3(nil, f, g, h, 0)
+	return res
 }
 
 // before orders two refs for the standard-triple swaps: primarily by
@@ -46,21 +52,31 @@ func (m *Manager) before(a, b Ref) bool {
 	return a&^compBit < b&^compBit
 }
 
-func (m *Manager) ite3(f, g, h Ref) Ref {
-	m.Stats.ITECalls++
+// ite3 is the ITE recursion for both evaluation contexts (see
+// parallel.go): c == nil is the sequential context — the exact
+// direct-mapped cache, mk and the Stats counters; it never forks and
+// never fails — while a non-nil c evaluates inside a parallel section,
+// forking cofactor subproblems while c.shouldFork(depth) allows. ok is
+// false only when a section ran out of arena.
+func (m *Manager) ite3(c *parCtx, f, g, h Ref, depth int32) (Ref, bool) {
+	if c == nil {
+		m.Stats.ITECalls++
+	} else {
+		c.iteCalls++
+	}
 	// Terminal and trivial cases (valid in both representations).
 	switch {
 	case f == True:
-		return g
+		return g, true
 	case f == False:
-		return h
+		return h, true
 	case g == h:
-		return g
+		return g, true
 	case g == True && h == False:
-		return f
+		return f, true
 	}
 
-	neg := false
+	var neg Ref // compBit when the canonical triple computes ¬result
 	if !m.noComp {
 		// ¬f is one comparison away, so the f-collapses come in pairs.
 		if g == f {
@@ -75,11 +91,11 @@ func (m *Manager) ite3(f, g, h Ref) Ref {
 		}
 		switch {
 		case g == h:
-			return g
+			return g, true
 		case g == True && h == False:
-			return f
+			return f, true
 		case g == False && h == True:
-			return f ^ compBit
+			return f ^ compBit, true
 		}
 
 		// Standard triples: canonicalize the argument order of the
@@ -118,20 +134,14 @@ func (m *Manager) ite3(f, g, h Ref) Ref {
 		if g&compBit != 0 {
 			g ^= compBit
 			h ^= compBit
-			neg = true
+			neg = compBit
 		}
 		// The rewrites above can re-expose a trivial triple.
 		switch {
 		case g == h:
-			if neg {
-				return g ^ compBit
-			}
-			return g
+			return g ^ neg, true
 		case g == True && h == False:
-			if neg {
-				return f ^ compBit
-			}
-			return f
+			return f ^ neg, true
 		}
 	} else {
 		// Structural-mode normalization (no rule may introduce ¬).
@@ -142,18 +152,20 @@ func (m *Manager) ite3(f, g, h Ref) Ref {
 			h = False
 		}
 		if g == True && h == False {
-			return f
+			return f, true
 		}
 	}
 
-	m.Stats.CacheLookups++
-	slot := cacheIndex(uint32(f), uint32(g), uint32(h), 0x17e, uint32(len(m.ite)))
-	if e := &m.ite[slot]; e.valid && e.f == f && e.g == g && e.h == h {
-		m.Stats.CacheHits++
-		if neg {
-			return e.res ^ compBit
+	var slot uint32
+	if c == nil {
+		m.Stats.CacheLookups++
+		slot = cacheIndex(uint32(f), uint32(g), uint32(h), 0x17e, uint32(len(m.ite)))
+		if e := &m.ite[slot]; e.valid && e.f == f && e.g == g && e.h == h {
+			m.Stats.CacheHits++
+			return e.res ^ neg, true
 		}
-		return e.res
+	} else if res, ok := c.cacheGet(c.ps.ite, uint64(f)|uint64(g)<<32, uint64(h)); ok {
+		return res ^ neg, true
 	}
 
 	lf, lg, lh := m.level(f), m.level(g), m.level(h)
@@ -169,15 +181,31 @@ func (m *Manager) ite3(f, g, h Ref) Ref {
 	g0, g1 := m.cofactors(g, lg, top)
 	h0, h1 := m.cofactors(h, lh, top)
 
-	low := m.ite3(f0, g0, h0)
-	high := m.ite3(f1, g1, h1)
-	res := m.mk(top, low, high)
-
-	m.ite[slot] = iteEntry{f: f, g: g, h: h, res: res, valid: true}
-	if neg {
-		return res ^ compBit
+	var low, high Ref
+	ok := true
+	if c.shouldFork(depth) {
+		low, high, ok = c.fork(
+			func(c *parCtx) (Ref, bool) { return m.ite3(c, f0, g0, h0, depth+1) },
+			func(c *parCtx) (Ref, bool) { return m.ite3(c, f1, g1, h1, depth+1) })
+	} else if low, ok = m.ite3(c, f0, g0, h0, depth+1); ok {
+		high, ok = m.ite3(c, f1, g1, h1, depth+1)
 	}
-	return res
+	if !ok {
+		return False, false
+	}
+	var res Ref
+	if c == nil {
+		res = m.mk(top, low, high)
+	} else if res, ok = m.parMk(c, top, low, high); !ok {
+		return False, false
+	}
+
+	if c == nil {
+		m.ite[slot] = iteEntry{f: f, g: g, h: h, res: res, valid: true}
+	} else {
+		c.ps.parCachePut(c.ps.ite, uint64(f)|uint64(g)<<32, uint64(h), res)
+	}
+	return res ^ neg, true
 }
 
 // cofactors returns the (low, high) cofactors of f with respect to the

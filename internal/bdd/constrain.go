@@ -103,7 +103,7 @@ func (m *Manager) minimize(f, c Ref) Ref {
 	if lc < lf {
 		// c tests a variable f does not depend on: existentially drop it
 		// instead of introducing it.
-		cc := m.ite3(m.low(c), True, m.high(c)) // c0 ∨ c1
+		cc := m.iteSeq(m.low(c), True, m.high(c)) // c0 ∨ c1
 		res = m.minimize(f, cc)
 	} else if lc == lf {
 		c0, c1 := m.low(c), m.high(c)

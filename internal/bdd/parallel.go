@@ -4,28 +4,36 @@ package bdd
 // decision diagrams (van Dijk & van de Pol, TACAS 2015): one arena, one
 // unique table, one computed cache shared by every worker, so a *single*
 // big operation parallelizes instead of sharding whole subproblems across
-// copied arenas. The engine is strictly additive — with ParallelWorkers
-// <= 1 none of this file runs and the sequential recursion is
-// byte-identical to the pre-parallel package, which is what every
-// differential test leans on. Canonicity makes the parallel results easy
-// to check: a parallel operation returns the *same Ref* the sequential
-// recursion would, because the shared unique table admits exactly one
-// node per (level, low, high) triple no matter which goroutine asks
-// first.
+// copied arenas.
+//
+// There is one recursion per operation — ite3 (apply.go), exists and
+// andExists (quant.go) — and it takes an evaluation context. A nil
+// *parCtx is the sequential context: the exact direct-mapped caches,
+// plain mk and the Stats counters; it never forks, never fails, and
+// allocates nothing beyond the nodes it creates. With ParallelWorkers
+// <= 1 every operation runs in it. A non-nil context evaluates inside a
+// parallel section with the lossy caches, parMk's striped inserts and
+// per-context counters. Canonicity makes the two contexts easy to check
+// against each other: a parallel operation returns the *same Ref* the
+// sequential one would, because the shared unique table admits exactly
+// one node per (level, low, high) triple no matter which goroutine asks
+// first. The independent oracle the differential tests use on top of
+// that is pointwise Eval/SatCount plus CheckInvariants.
 //
 // Execution model: fork-join sections. A parallel operation (or a batch
 // of independent jobs, see RunParallel) runs inside a *section*; within
-// it the recursion forks its high-cofactor subproblem onto a fresh
-// goroutine while the fork depth and the global in-flight count stay
+// it the recursion hands one cofactor subproblem to a fresh goroutine
+// (parCtx.fork) while the fork depth and the global in-flight count stay
 // under bounds derived from the worker budget, and the Go runtime's
 // work-stealing scheduler distributes the resulting subtasks over the
-// machine (this is the "work-stealing pool" of the design: we deliberately
-// lean on the runtime's per-P deques instead of hand-rolling them). No
-// worker outlives its section, so between sections the manager is exactly
-// as single-threaded as it always was: garbage collection and dynamic
-// reordering run in those gaps, which is the stop-the-world safe point
-// the reordering engine requires — and GC()/ReorderIfNeeded()/SiftNow()
-// are additionally hard no-ops while a section is in flight.
+// machine (this is the "work-stealing pool" of the design: we
+// deliberately lean on the runtime's per-P deques instead of
+// hand-rolling them). No worker outlives its section, so between
+// sections the manager is single-threaded: garbage collection and
+// dynamic reordering run in those gaps, which is the stop-the-world
+// safe point the reordering engine requires — and
+// GC()/ReorderIfNeeded()/SiftNow() are additionally hard no-ops while a
+// section is in flight.
 //
 // Memory model inside a section (see DESIGN.md for the long form):
 //
@@ -518,6 +526,17 @@ func (ps *parState) parCachePut(tbl []parEntry, a, bKey uint64, res Ref) {
 	e.seq.Store((ps.gen.Load()&0xffffffff)<<32 | (s+2)&0xfffffffe)
 }
 
+// cacheGet probes a lossy cache on behalf of c, counting the lookup
+// and any hit in c's ITE/binary-cache counters.
+func (c *parCtx) cacheGet(tbl []parEntry, a, bKey uint64) (Ref, bool) {
+	c.cacheLookups++
+	res, ok := c.ps.parCacheGet(tbl, a, bKey)
+	if ok {
+		c.cacheHits++
+	}
+	return res, ok
+}
+
 // parInvalidateCaches makes every parallel cache entry stale by bumping
 // the generation tag; called from clearCaches (GC that freed nodes,
 // reordering). O(1) — no scan.
@@ -530,15 +549,31 @@ func (m *Manager) parInvalidateCaches() {
 // ——— forking ———
 
 // shouldFork reports whether a recursion site at the given depth may
-// fork its high-cofactor subproblem onto a fresh goroutine.
+// fork its cofactor subproblems onto two goroutines. The sequential
+// context (c == nil) never forks.
 func (c *parCtx) shouldFork(depth int32) bool {
+	if c == nil {
+		return false
+	}
 	ps := c.ps
 	return depth < ps.forkDepth && ps.inflight.Load() < ps.forkCap
 }
 
-// forkEnter registers a fork; the spawned goroutine must decrement
-// inflight when it completes.
-func (c *parCtx) forkEnter() {
+// forkResult carries a forked subproblem's answer back to its parent.
+type forkResult struct {
+	res Ref
+	ok  bool
+}
+
+// fork evaluates lo on c and hi on a fresh goroutine with its own
+// context, and joins. ok is false if either side ran out of arena.
+// The kernels build the two closures only on the branch where
+// shouldFork allowed the fork: a goroutine's closure escapes, so a
+// closure built on every call would allocate on every call. For the
+// same reason the closures capture only variables that are never
+// reassigned (those are copied, not moved to the heap), and the answer
+// comes back over a channel rather than through captured variables.
+func (c *parCtx) fork(lo, hi func(*parCtx) (Ref, bool)) (low, high Ref, ok bool) {
 	ps := c.ps
 	c.forks++
 	n := ps.inflight.Add(1)
@@ -548,396 +583,17 @@ func (c *parCtx) forkEnter() {
 			break
 		}
 	}
-}
-
-// ——— parallel recursion ———
-
-// parIte is ite3 for parallel sections: identical terminal rules,
-// standard-triple and complement canonicalization, with the lossy
-// parallel cache in place of the direct-mapped sequential one and
-// depth-bounded forking of the cofactor recursion.
-func (m *Manager) parIte(c *parCtx, f, g, h Ref, depth int32) (Ref, bool) {
-	c.iteCalls++
-	switch {
-	case f == True:
-		return g, true
-	case f == False:
-		return h, true
-	case g == h:
-		return g, true
-	case g == True && h == False:
-		return f, true
-	}
-
-	neg := false
-	if !m.noComp {
-		if g == f {
-			g = True
-		} else if g == f^compBit {
-			g = False
-		}
-		if h == f {
-			h = False
-		} else if h == f^compBit {
-			h = True
-		}
-		switch {
-		case g == h:
-			return g, true
-		case g == True && h == False:
-			return f, true
-		case g == False && h == True:
-			return f ^ compBit, true
-		}
-		switch {
-		case g == True:
-			if m.before(h, f) {
-				f, h = h, f
-			}
-		case h == False:
-			if m.before(g, f) {
-				f, g = g, f
-			}
-		case g == False:
-			if m.before(h, f) {
-				f, h = h^compBit, f^compBit
-			}
-		case h == True:
-			if m.before(g, f) {
-				f, g = g^compBit, f^compBit
-			}
-		case g == h^compBit:
-			if m.before(g, f) {
-				f, g = g, f
-				h = g ^ compBit
-			}
-		}
-		if f&compBit != 0 {
-			f ^= compBit
-			g, h = h, g
-		}
-		if g&compBit != 0 {
-			g ^= compBit
-			h ^= compBit
-			neg = true
-		}
-		switch {
-		case g == h:
-			if neg {
-				return g ^ compBit, true
-			}
-			return g, true
-		case g == True && h == False:
-			if neg {
-				return f ^ compBit, true
-			}
-			return f, true
-		}
-	} else {
-		if g == f {
-			g = True
-		}
-		if h == f {
-			h = False
-		}
-		if g == True && h == False {
-			return f, true
-		}
-	}
-
-	ps := c.ps
-	c.cacheLookups++
-	key := uint64(f) | uint64(g)<<32
-	if res, ok := ps.parCacheGet(ps.ite, key, uint64(h)); ok {
-		c.cacheHits++
-		if neg {
-			return res ^ compBit, true
-		}
-		return res, true
-	}
-
-	lf, lg, lh := m.level(f), m.level(g), m.level(h)
-	top := lf
-	if lg < top {
-		top = lg
-	}
-	if lh < top {
-		top = lh
-	}
-	f0, f1 := m.cofactors(f, lf, top)
-	g0, g1 := m.cofactors(g, lg, top)
-	h0, h1 := m.cofactors(h, lh, top)
-
-	var low, high Ref
-	var okL, okH bool
-	if c.shouldFork(depth) {
-		c.forkEnter()
-		done := make(chan struct{})
-		go func() {
-			cc := ps.getCtx(m)
-			high, okH = m.parIte(cc, f1, g1, h1, depth+1)
-			ps.putCtx(cc)
-			ps.inflight.Add(-1)
-			close(done)
-		}()
-		low, okL = m.parIte(c, f0, g0, h0, depth+1)
-		<-done
-	} else {
-		low, okL = m.parIte(c, f0, g0, h0, depth+1)
-		if okL {
-			high, okH = m.parIte(c, f1, g1, h1, depth+1)
-		}
-	}
-	if !okL || !okH {
-		return False, false
-	}
-	res, ok := m.parMk(c, top, low, high)
-	if !ok {
-		return False, false
-	}
-	ps.parCachePut(ps.ite, key, uint64(h), res)
-	if neg {
-		return res ^ compBit, true
-	}
-	return res, true
-}
-
-// parExists mirrors exists with the lossy cache and forked cofactors.
-// The sequential low==True short-circuit survives on the non-forked
-// path; a forked pair combines through parIte, which collapses the True
-// case for free.
-func (m *Manager) parExists(c *parCtx, f, cube Ref, depth int32) (Ref, bool) {
-	if IsTerminal(f) || cube == True {
-		return f, true
-	}
-	lf := m.level(f)
-	lc := m.level(cube)
-	for lc < lf {
-		cube = m.high(cube)
-		if cube == True {
-			return f, true
-		}
-		lc = m.level(cube)
-	}
-	ps := c.ps
-	c.cacheLookups++
-	key := uint64(f) | uint64(cube)<<32
-	if res, ok := ps.parCacheGet(ps.bin, key, uint64(opExists)); ok {
-		c.cacheHits++
-		return res, true
-	}
-	f0, f1 := m.low(f), m.high(f)
-	var res Ref
-	if lf == lc {
-		rest := m.high(cube)
-		if c.shouldFork(depth) {
-			var low, high Ref
-			var okL, okH bool
-			c.forkEnter()
-			done := make(chan struct{})
-			go func() {
-				cc := ps.getCtx(m)
-				high, okH = m.parExists(cc, f1, rest, depth+1)
-				ps.putCtx(cc)
-				ps.inflight.Add(-1)
-				close(done)
-			}()
-			low, okL = m.parExists(c, f0, rest, depth+1)
-			<-done
-			if !okL || !okH {
-				return False, false
-			}
-			r, ok := m.parIte(c, low, True, high, depth)
-			if !ok {
-				return False, false
-			}
-			res = r
-		} else {
-			low, ok := m.parExists(c, f0, rest, depth+1)
-			if !ok {
-				return False, false
-			}
-			if low == True {
-				res = True
-			} else {
-				high, ok := m.parExists(c, f1, rest, depth+1)
-				if !ok {
-					return False, false
-				}
-				r, ok := m.parIte(c, low, True, high, depth)
-				if !ok {
-					return False, false
-				}
-				res = r
-			}
-		}
-	} else {
-		var low, high Ref
-		var okL, okH bool
-		if c.shouldFork(depth) {
-			c.forkEnter()
-			done := make(chan struct{})
-			go func() {
-				cc := ps.getCtx(m)
-				high, okH = m.parExists(cc, f1, cube, depth+1)
-				ps.putCtx(cc)
-				ps.inflight.Add(-1)
-				close(done)
-			}()
-			low, okL = m.parExists(c, f0, cube, depth+1)
-			<-done
-		} else {
-			low, okL = m.parExists(c, f0, cube, depth+1)
-			if okL {
-				high, okH = m.parExists(c, f1, cube, depth+1)
-			}
-		}
-		if !okL || !okH {
-			return False, false
-		}
-		r, ok := m.parMk(c, lf, low, high)
-		if !ok {
-			return False, false
-		}
-		res = r
-	}
-	ps.parCachePut(ps.bin, key, uint64(opExists), res)
-	return res, true
-}
-
-// parAndExists mirrors andExists: identical terminal rules, operand
-// canonicalization and cube alignment, with the dedicated lossy triple
-// cache and forked cofactor recursion. The terminal cases route to the
-// parallel variants (never the sequential ones), so a section performs
-// no unsynchronized sequential-state mutation whatsoever.
-func (m *Manager) parAndExists(c *parCtx, f, g, cube Ref, depth int32) (Ref, bool) {
-	if f == False || g == False {
-		return False, true
-	}
-	if f == True && g == True {
-		return True, true
-	}
-	if f == True {
-		return m.parExists(c, g, cube, depth)
-	}
-	if g == True {
-		return m.parExists(c, f, cube, depth)
-	}
-	if f == g {
-		return m.parExists(c, f, cube, depth)
-	}
-	if !m.noComp && f == g^compBit {
-		return False, true // f ∧ ¬f
-	}
-	if cube == True {
-		return m.parIte(c, f, g, False, depth)
-	}
-	if f > g {
-		f, g = g, f // And is commutative; canonicalize for the cache
-	}
-
-	lf, lg := m.level(f), m.level(g)
-	top := lf
-	if lg < top {
-		top = lg
-	}
-	lc := m.level(cube)
-	for lc < top {
-		cube = m.high(cube)
-		if cube == True {
-			return m.parIte(c, f, g, False, depth)
-		}
-		lc = m.level(cube)
-	}
-
-	ps := c.ps
-	c.aexLookups++
-	key := uint64(f) | uint64(g)<<32
-	if res, ok := ps.parCacheGet(ps.aex, key, uint64(cube)); ok {
-		c.cacheHits++
-		c.aexHits++
-		return res, true
-	}
-
-	f0, f1 := m.cofactors(f, lf, top)
-	g0, g1 := m.cofactors(g, lg, top)
-
-	var res Ref
-	if top == lc {
-		rest := m.high(cube)
-		if c.shouldFork(depth) {
-			var low, high Ref
-			var okL, okH bool
-			c.forkEnter()
-			done := make(chan struct{})
-			go func() {
-				cc := ps.getCtx(m)
-				high, okH = m.parAndExists(cc, f1, g1, rest, depth+1)
-				ps.putCtx(cc)
-				ps.inflight.Add(-1)
-				close(done)
-			}()
-			low, okL = m.parAndExists(c, f0, g0, rest, depth+1)
-			<-done
-			if !okL || !okH {
-				return False, false
-			}
-			r, ok := m.parIte(c, low, True, high, depth)
-			if !ok {
-				return False, false
-			}
-			res = r
-		} else {
-			low, ok := m.parAndExists(c, f0, g0, rest, depth+1)
-			if !ok {
-				return False, false
-			}
-			if low == True {
-				res = True
-			} else {
-				high, ok := m.parAndExists(c, f1, g1, rest, depth+1)
-				if !ok {
-					return False, false
-				}
-				r, ok := m.parIte(c, low, True, high, depth)
-				if !ok {
-					return False, false
-				}
-				res = r
-			}
-		}
-	} else {
-		var low, high Ref
-		var okL, okH bool
-		if c.shouldFork(depth) {
-			c.forkEnter()
-			done := make(chan struct{})
-			go func() {
-				cc := ps.getCtx(m)
-				high, okH = m.parAndExists(cc, f1, g1, cube, depth+1)
-				ps.putCtx(cc)
-				ps.inflight.Add(-1)
-				close(done)
-			}()
-			low, okL = m.parAndExists(c, f0, g0, cube, depth+1)
-			<-done
-		} else {
-			low, okL = m.parAndExists(c, f0, g0, cube, depth+1)
-			if okL {
-				high, okH = m.parAndExists(c, f1, g1, cube, depth+1)
-			}
-		}
-		if !okL || !okH {
-			return False, false
-		}
-		r, ok := m.parMk(c, top, low, high)
-		if !ok {
-			return False, false
-		}
-		res = r
-	}
-	ps.parCachePut(ps.aex, key, uint64(cube), res)
-	return res, true
+	done := make(chan forkResult, 1)
+	go func() {
+		cc := ps.getCtx(c.m)
+		res, ok := hi(cc)
+		ps.putCtx(cc)
+		ps.inflight.Add(-1)
+		done <- forkResult{res, ok}
+	}()
+	low, okL := lo(c)
+	r := <-done
+	return low, r.res, okL && r.ok
 }
 
 // ——— top-level drivers ———
@@ -963,11 +619,10 @@ func (m *Manager) parRunOne(fn func(c *parCtx) (Ref, bool)) Ref {
 }
 
 // ParOp is the operation handle handed to RunParallel jobs: the same
-// boolean and quantification operations as the Manager, evaluated with
+// boolean and quantification operations as the Manager, evaluated in
 // the job's context inside the surrounding parallel section. A ParOp is
 // confined to its job's goroutine. When the parallel engine is inactive
-// the handle transparently backs onto the ordinary sequential
-// operations.
+// its context is the sequential one.
 type ParOp struct {
 	m      *Manager
 	c      *parCtx
@@ -992,27 +647,18 @@ func (p *ParOp) run(fn func(c *parCtx) (Ref, bool)) Ref {
 
 // AndExists computes ∃cube.(f ∧ g) inside the section.
 func (p *ParOp) AndExists(f, g, cube Ref) Ref {
-	if p.c == nil {
-		return p.m.AndExists(f, g, cube)
-	}
-	p.c.aexCalls++
-	return p.run(func(c *parCtx) (Ref, bool) { return p.m.parAndExists(c, f, g, cube, 0) })
+	p.m.countAndExists(p.c)
+	return p.run(func(c *parCtx) (Ref, bool) { return p.m.andExists(c, f, g, cube, 0) })
 }
 
 // Exists computes ∃cube.f inside the section.
 func (p *ParOp) Exists(f, cube Ref) Ref {
-	if p.c == nil {
-		return p.m.Exists(f, cube)
-	}
-	return p.run(func(c *parCtx) (Ref, bool) { return p.m.parExists(c, f, cube, 0) })
+	return p.run(func(c *parCtx) (Ref, bool) { return p.m.exists(c, f, cube, 0) })
 }
 
 // Ite computes if-then-else inside the section.
 func (p *ParOp) Ite(f, g, h Ref) Ref {
-	if p.c == nil {
-		return p.m.Ite(f, g, h)
-	}
-	return p.run(func(c *parCtx) (Ref, bool) { return p.m.parIte(c, f, g, h, 0) })
+	return p.run(func(c *parCtx) (Ref, bool) { return p.m.ite3(c, f, g, h, 0) })
 }
 
 // And computes f ∧ g inside the section.
@@ -1053,12 +699,13 @@ func (m *Manager) RunParallel(jobs []func(op *ParOp)) {
 		if width > len(pending) {
 			width = len(pending)
 		}
-		var wg sync.WaitGroup
+		// Workers report on idle rather than a captured WaitGroup, which
+		// would be moved to the heap; CI rejects any such move in the
+		// kernel files (see parCtx.fork).
 		work := make(chan int)
+		idle := make(chan struct{}, width)
 		for w := 0; w < width; w++ {
-			wg.Add(1)
 			go func() {
-				defer wg.Done()
 				for i := range work {
 					c := ps.getCtx(m)
 					op := &ParOp{m: m, c: c}
@@ -1066,13 +713,16 @@ func (m *Manager) RunParallel(jobs []func(op *ParOp)) {
 					failed[i] = op.failed
 					ps.putCtx(c)
 				}
+				idle <- struct{}{}
 			}()
 		}
 		for _, i := range pending {
 			work <- i
 		}
 		close(work)
-		wg.Wait()
+		for w := 0; w < width; w++ {
+			<-idle
+		}
 		m.Stats.ParallelJobs += uint64(len(pending))
 		m.parEnd()
 		var retry []int

@@ -352,7 +352,7 @@ func TestParallelExhaustionRetry(t *testing.T) {
 			c.ps.exhausted.Store(true)
 			return False, false
 		}
-		return par.parIte(c, a, b, False, 0)
+		return par.ite3(c, a, b, False, 0)
 	})
 	if attempts != 3 {
 		t.Fatalf("parRunOne ran the operation %d times, want 3", attempts)
@@ -503,4 +503,49 @@ func FuzzParallelApply(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSequentialContextAllocatesNothing: the sequential context of the
+// one ITE/Exists/AndExists recursion must not pay for the parallel
+// context it shares the code with. A cache-missing call whose new nodes
+// land in free-list slots performs no heap allocation at all; a fork
+// closure built off the fork branch, or a result variable captured by a
+// forked goroutine, would show up here on every call.
+func TestSequentialContextAllocatesNothing(t *testing.T) {
+	const k = 6
+	m := New(0)
+	set, rel, cube := parallelWorkload(m, k, rand.New(rand.NewSource(13)))
+	m.Protect(set)
+	m.Protect(rel)
+	m.Protect(cube)
+	m.AndExists(set, rel, cube) // allocates the lazy AndExists cache
+	ops := []struct {
+		name string
+		run  func()
+	}{
+		{"Ite", func() { m.Ite(rel, set, m.Not(set)) }},
+		{"Exists", func() { m.Exists(rel, cube) }},
+		{"AndExists", func() { m.AndExists(set, rel, cube) }},
+	}
+	for _, op := range ops {
+		var created, misses int
+		arena := len(m.nodes)
+		allocs := testing.AllocsPerRun(10, func() {
+			m.GC() // frees the previous run's result: its slots go back on the free list
+			m.clearCaches()
+			live, lookups, hits := m.numAlloc, m.Stats.CacheLookups+m.Stats.AndExistsLookups, m.Stats.CacheHits
+			op.run()
+			created = m.numAlloc - live
+			misses = int(m.Stats.CacheLookups + m.Stats.AndExistsLookups - lookups - (m.Stats.CacheHits - hits))
+		})
+		if created == 0 || misses == 0 {
+			t.Fatalf("%s: created %d nodes over %d cache misses; the probe must build new nodes", op.name, created, misses)
+		}
+		if len(m.nodes) != arena {
+			t.Fatalf("%s: arena grew from %d to %d slots; new nodes must fit in free slots", op.name, arena, len(m.nodes))
+		}
+		if allocs != 0 {
+			t.Errorf("%s: %v heap allocations per sequential call, want 0", op.name, allocs)
+		}
+	}
 }

@@ -75,7 +75,7 @@ func (m *Manager) composeVar(w int, low, high Ref) Ref {
 	if lvl < m.level(low) && lvl < m.level(high) {
 		return m.mk(lvl, low, high)
 	}
-	return m.ite3(m.Var(w), high, low)
+	return m.iteSeq(m.Var(w), high, low)
 }
 
 // Compose substitutes the function g for variable v in f (functional
@@ -98,7 +98,7 @@ func (m *Manager) Compose(f Ref, v int, g Ref) Ref {
 		n := m.nodes[up]
 		var res Ref
 		if n.lvl&^markBit == lvl {
-			res = m.ite3(g, n.high, n.low)
+			res = m.iteSeq(g, n.high, n.low)
 		} else {
 			low := rec(n.low)
 			high := rec(n.high)
@@ -141,7 +141,7 @@ func (m *Manager) VectorCompose(f Ref, subst map[int]Ref) Ref {
 		v := m.level2var[n.lvl&^markBit]
 		var res Ref
 		if g, ok := subst[v]; ok {
-			res = m.ite3(g, high, low)
+			res = m.iteSeq(g, high, low)
 		} else {
 			res = m.composeVar(v, low, high)
 		}

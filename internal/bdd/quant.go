@@ -82,45 +82,83 @@ func (m *Manager) Exists(f, cube Ref) Ref {
 	m.checkRef(f)
 	m.checkRef(cube)
 	if m.parGate(f) {
-		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.parExists(c, f, cube, 0) })
+		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.exists(c, f, cube, 0) })
 	}
-	return m.exists(f, cube)
+	res, _ := m.exists(nil, f, cube, 0)
+	return res
 }
 
-func (m *Manager) exists(f, cube Ref) Ref {
+// exists is the Exists recursion for both evaluation contexts (see
+// ite3 for what c and depth mean).
+func (m *Manager) exists(c *parCtx, f, cube Ref, depth int32) (Ref, bool) {
 	if IsTerminal(f) || cube == True {
-		return f
+		return f, true
 	}
 	lf := m.level(f)
 	lc := m.level(cube)
 	for lc < lf {
 		cube = m.high(cube)
 		if cube == True {
-			return f
+			return f, true
 		}
 		lc = m.level(cube)
 	}
-	if res, ok := m.binCacheGet(opExists, f, cube); ok {
-		return res
-	}
-	f0, f1 := m.low(f), m.high(f)
-	var res Ref
-	if lf == lc {
-		// Quantify this variable: f|v=0 ∨ f|v=1.
-		low := m.exists(f0, m.high(cube))
-		if low == True {
-			res = True
-		} else {
-			high := m.exists(f1, m.high(cube))
-			res = m.ite3(low, True, high)
+	if c == nil {
+		if res, ok := m.binCacheGet(opExists, f, cube); ok {
+			return res, true
 		}
-	} else {
-		low := m.exists(f0, cube)
-		high := m.exists(f1, cube)
-		res = m.mk(lf, low, high)
+	} else if res, ok := c.cacheGet(c.ps.bin, uint64(f)|uint64(cube)<<32, uint64(opExists)); ok {
+		return res, true
 	}
-	m.binCachePut(opExists, f, cube, res)
-	return res
+
+	// Quantifying this variable makes the result f|v=0 ∨ f|v=1;
+	// otherwise the node is rebuilt over the two quantified cofactors.
+	quant := lf == lc
+	next := m.cubeBelow(cube, quant)
+	f0, f1 := m.low(f), m.high(f)
+	var low, high Ref
+	ok := true
+	if c.shouldFork(depth) {
+		low, high, ok = c.fork(
+			func(c *parCtx) (Ref, bool) { return m.exists(c, f0, next, depth+1) },
+			func(c *parCtx) (Ref, bool) { return m.exists(c, f1, next, depth+1) })
+	} else if low, ok = m.exists(c, f0, next, depth+1); ok && !(quant && low == True) {
+		high, ok = m.exists(c, f1, next, depth+1)
+	}
+	var res Ref
+	switch {
+	case !ok:
+		return False, false
+	case !quant && c == nil:
+		res = m.mk(lf, low, high)
+	case !quant:
+		res, ok = m.parMk(c, lf, low, high)
+	case low == True:
+		res = True
+	default:
+		res, ok = m.ite3(c, low, True, high, depth)
+	}
+	if !ok {
+		return False, false
+	}
+
+	if c == nil {
+		m.binCachePut(opExists, f, cube, res)
+	} else {
+		c.ps.parCachePut(c.ps.bin, uint64(f)|uint64(cube)<<32, uint64(opExists), res)
+	}
+	return res, true
+}
+
+// cubeBelow returns the cube the cofactor recursion continues with:
+// past the top variable when it is being quantified, unchanged
+// otherwise. It is a function rather than a reassigned local so that
+// the fork closures capture the result by value (see parCtx.fork).
+func (m *Manager) cubeBelow(cube Ref, quant bool) Ref {
+	if quant {
+		return m.high(cube)
+	}
+	return cube
 }
 
 // ForAll computes ∀ vars . f where vars is a positive cube.
@@ -154,7 +192,7 @@ func (m *Manager) forall(f, cube Ref) Ref {
 			res = False
 		} else {
 			high := m.forall(f1, m.high(cube))
-			res = m.ite3(low, high, False)
+			res = m.iteSeq(low, high, False)
 		}
 	} else {
 		low := m.forall(f0, cube)
@@ -179,37 +217,49 @@ func (m *Manager) AndExists(f, g, cube Ref) Ref {
 	m.checkRef(f)
 	m.checkRef(g)
 	m.checkRef(cube)
-	m.Stats.AndExistsCalls++
 	if m.parGate(f, g) {
-		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.parAndExists(c, f, g, cube, 0) })
+		m.Stats.AndExistsCalls++
+		return m.parRunOne(func(c *parCtx) (Ref, bool) { return m.andExists(c, f, g, cube, 0) })
 	}
+	m.countAndExists(nil)
+	res, _ := m.andExists(nil, f, g, cube, 0)
+	return res
+}
+
+// countAndExists counts one top-level AndExists in context c; the
+// sequential context allocates its triple cache on first use.
+func (m *Manager) countAndExists(c *parCtx) {
+	if c != nil {
+		c.aexCalls++
+		return
+	}
+	m.Stats.AndExistsCalls++
 	if m.aex == nil {
 		m.aex = make([]aexEntry, m.cacheSize)
 	}
-	return m.andExists(f, g, cube)
 }
 
-func (m *Manager) andExists(f, g, cube Ref) Ref {
+// andExists is the AndExists recursion for both evaluation contexts
+// (see ite3 for what c and depth mean). Its terminal cases stay in the
+// caller's context, so a section never touches sequential state.
+func (m *Manager) andExists(c *parCtx, f, g, cube Ref, depth int32) (Ref, bool) {
 	if f == False || g == False {
-		return False
+		return False, true
 	}
 	if f == True && g == True {
-		return True
+		return True, true
 	}
 	if f == True {
-		return m.exists(g, cube)
+		return m.exists(c, g, cube, depth)
 	}
-	if g == True {
-		return m.exists(f, cube)
-	}
-	if f == g {
-		return m.exists(f, cube)
+	if g == True || f == g {
+		return m.exists(c, f, cube, depth)
 	}
 	if !m.noComp && f == g^compBit {
-		return False // f ∧ ¬f
+		return False, true // f ∧ ¬f
 	}
 	if cube == True {
-		return m.ite3(f, g, False)
+		return m.ite3(c, f, g, False, depth)
 	}
 	if f > g {
 		f, g = g, f // And is commutative; canonicalize for the cache
@@ -224,39 +274,65 @@ func (m *Manager) andExists(f, g, cube Ref) Ref {
 	for lc < top {
 		cube = m.high(cube)
 		if cube == True {
-			return m.ite3(f, g, False)
+			return m.ite3(c, f, g, False, depth)
 		}
 		lc = m.level(cube)
 	}
 
-	slot := cacheIndex(uint32(f), uint32(g), uint32(cube), 0xae, uint32(len(m.aex)))
-	m.Stats.AndExistsLookups++
-	if e := &m.aex[slot]; e.valid && e.f == f && e.g == g && e.cube == cube {
-		m.Stats.CacheHits++
-		m.Stats.AndExistsHits++
-		return e.res
-	}
-
-	f0, f1 := m.cofactors(f, lf, top)
-	g0, g1 := m.cofactors(g, lg, top)
-
-	var res Ref
-	if top == lc {
-		rest := m.high(cube)
-		low := m.andExists(f0, g0, rest)
-		if low == True {
-			res = True
-		} else {
-			high := m.andExists(f1, g1, rest)
-			res = m.ite3(low, True, high)
+	var slot uint32
+	if c == nil {
+		slot = cacheIndex(uint32(f), uint32(g), uint32(cube), 0xae, uint32(len(m.aex)))
+		m.Stats.AndExistsLookups++
+		if e := &m.aex[slot]; e.valid && e.f == f && e.g == g && e.cube == cube {
+			m.Stats.CacheHits++
+			m.Stats.AndExistsHits++
+			return e.res, true
 		}
 	} else {
-		low := m.andExists(f0, g0, cube)
-		high := m.andExists(f1, g1, cube)
-		res = m.mk(top, low, high)
+		c.aexLookups++
+		if res, ok := c.ps.parCacheGet(c.ps.aex, uint64(f)|uint64(g)<<32, uint64(cube)); ok {
+			c.cacheHits++
+			c.aexHits++
+			return res, true
+		}
 	}
-	m.aex[slot] = aexEntry{f: f, g: g, cube: cube, res: res, valid: true}
-	return res
+
+	quant := top == lc
+	next := m.cubeBelow(cube, quant)
+	f0, f1 := m.cofactors(f, lf, top)
+	g0, g1 := m.cofactors(g, lg, top)
+	var low, high Ref
+	ok := true
+	if c.shouldFork(depth) {
+		low, high, ok = c.fork(
+			func(c *parCtx) (Ref, bool) { return m.andExists(c, f0, g0, next, depth+1) },
+			func(c *parCtx) (Ref, bool) { return m.andExists(c, f1, g1, next, depth+1) })
+	} else if low, ok = m.andExists(c, f0, g0, next, depth+1); ok && !(quant && low == True) {
+		high, ok = m.andExists(c, f1, g1, next, depth+1)
+	}
+	var res Ref
+	switch {
+	case !ok:
+		return False, false
+	case !quant && c == nil:
+		res = m.mk(top, low, high)
+	case !quant:
+		res, ok = m.parMk(c, top, low, high)
+	case low == True:
+		res = True
+	default:
+		res, ok = m.ite3(c, low, True, high, depth)
+	}
+	if !ok {
+		return False, false
+	}
+
+	if c == nil {
+		m.aex[slot] = aexEntry{f: f, g: g, cube: cube, res: res, valid: true}
+	} else {
+		c.ps.parCachePut(c.ps.aex, uint64(f)|uint64(g)<<32, uint64(cube), res)
+	}
+	return res, true
 }
 
 // Restrict computes the cofactor f|v=val, the restriction operation of

@@ -355,7 +355,7 @@ func (m *Manager) loadNodeTable(br *bufio.Reader, adoptOrder bool) ([]Ref, func(
 		v := savedLevel2Var[lvl]
 		// Rebuild through ITE so a different variable order in the
 		// target manager still yields the correct (canonical) function.
-		table = append(table, m.ite3(m.Var(v), high, low))
+		table = append(table, m.iteSeq(m.Var(v), high, low))
 	}
 	return table, dec, nil
 }

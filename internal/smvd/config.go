@@ -25,6 +25,8 @@ type Config struct {
 	// model declares processes (ignored otherwise, matching cmd/smv).
 	Disjunctive bool `json:"disjunctive,omitempty"`
 	// Workers is the parallel-engine worker count (<=1: sequential).
+	// More workers pay off only on large conjunctive image steps; on
+	// small models they make checks slower (see README).
 	Workers int `json:"workers,omitempty"`
 	// Reorder enables growth-triggered dynamic variable reordering.
 	Reorder bool `json:"reorder,omitempty"`
