@@ -36,7 +36,8 @@ type GenStats struct {
 	ClosureAttempts uint64 // cycle-closure checks
 	RingSteps       uint64 // states appended by ring walks
 	EarlyExits      uint64 // precompute-strategy early restarts
-	ImageCalls      uint64 // single-state successor images taken
+	ImageCalls      uint64 // successor images taken (walk steps and closure layers)
+	PreimageCalls   uint64 // predecessor images taken (closure backtracking)
 }
 
 // Generator produces witnesses and counterexamples over a checker's
@@ -63,20 +64,60 @@ func NewGenerator(c *mc.Checker) *Generator {
 // that does not satisfy the formula.
 var ErrNotSatisfied = errors.New("core: state does not satisfy the formula")
 
-// image returns the successor set of a single concrete state. All of
-// witness construction's successor computations funnel through here so
-// they take the same (possibly partitioned) image path as the fixpoint
-// engine and the traces stay consistent with the sets they walk.
-func (g *Generator) image(st kripke.State) bdd.Ref {
+// image returns the successors of a set. Every image witness
+// construction takes funnels through here, so GenStats counts them all
+// and they take the same (possibly partitioned) image path as the
+// fixpoint engine: the traces stay consistent with the sets they walk.
+func (g *Generator) image(set bdd.Ref) bdd.Ref {
 	g.Stats.ImageCalls++
-	s := g.C.S
-	return s.Image(s.StateCube(st))
+	return g.C.S.Image(set)
+}
+
+// preimage returns the predecessors of a set, counted like image.
+func (g *Generator) preimage(set bdd.Ref) bdd.Ref {
+	g.Stats.PreimageCalls++
+	return g.C.S.Preimage(set)
 }
 
 // succIn returns one successor of st inside set, or nil.
 func (g *Generator) succIn(st kripke.State, set bdd.Ref) kripke.State {
 	s := g.C.S
-	return s.PickState(s.M.And(g.image(st), set))
+	return s.PickState(s.M.And(g.image(s.StateCube(st)), set))
+}
+
+// closeCycle closes a tentative cycle: it looks for a nontrivial path
+// from sPrime back to the cycle head t whose states before t satisfy f,
+// so it succeeds exactly when sPrime ∈ EX E[f U {t}]. Instead of that
+// backward fixpoint it searches breadth first forward from sPrime, layer
+// j holding the states first reached in j+1 steps, and stops at the
+// first layer that contains t. The closing states strictly between
+// sPrime and t are then picked backwards from t, one per layer, so the
+// path is a shortest one. ok is false when t cannot be reached.
+func (g *Generator) closeCycle(f bdd.Ref, sPrime, t kripke.State) (closing []kripke.State, ok bool, err error) {
+	s := g.C.S
+	m := s.M
+	fOrT := m.Or(f, s.StateCube(t))
+	var layers []bdd.Ref
+	front := m.And(g.image(s.StateCube(sPrime)), fOrT)
+	reached := front
+	for !s.Holds(front, t) {
+		if front == bdd.False {
+			return nil, false, nil
+		}
+		layers = append(layers, front)
+		front = m.Diff(m.And(g.image(front), fOrT), reached)
+		reached = m.Or(reached, front)
+	}
+	closing = make([]kripke.State, len(layers))
+	st := t
+	for j := len(layers) - 1; j >= 0; j-- {
+		st = s.PickState(m.And(g.preimage(s.StateCube(st)), layers[j]))
+		if st == nil {
+			return nil, false, fmt.Errorf("core: cycle closure stuck at layer %d", j)
+		}
+		closing[j] = st
+	}
+	return closing, true, nil
 }
 
 // WitnessEG constructs a fair lasso witness for EG f starting at from:
@@ -102,8 +143,9 @@ func (g *Generator) witnessEGRings(egf bdd.Ref, rings *mc.Rings, from kripke.Sta
 	m := s.M
 
 	// The walk holds many unregistered refs (successor sets, closure
-	// sets, EU rings) across image computations; dynamic reordering is
-	// paused for its duration. The expensive fixpoints already ran.
+	// layers, the precompute strategy's EU set) across image
+	// computations; dynamic reordering is paused for its duration. The
+	// expensive fixpoints already ran.
 	resume := m.PauseAutoReorder()
 	defer resume()
 	f := rings.F
@@ -135,7 +177,7 @@ func (g *Generator) witnessEGRings(egf bdd.Ref, rings *mc.Rings, from kripke.Sta
 		for left > 0 && !aborted {
 			// Find the nearest remaining constraint: smallest ring index
 			// i such that some successor of cur lies in Q^h_i.
-			succs := g.image(cur)
+			succs := g.image(s.StateCube(cur))
 			var bestH, bestI int
 			var bestState kripke.State
 			found := false
@@ -205,42 +247,13 @@ func (g *Generator) witnessEGRings(egf bdd.Ref, rings *mc.Rings, from kripke.Sta
 
 		if !aborted {
 			// All constraints visited; close the cycle with a nontrivial
-			// path from s′ back to t: a witness for {s′} ∧ EX E[f U {t}].
+			// path from s′ back to t.
 			g.Stats.ClosureAttempts++
-			sPrime := tr.States[len(tr.States)-1]
-			headCube := s.StateCube(cycleHead)
-			euSet, euRings := g.C.EUApprox(f, headCube)
-			succs := g.image(sPrime)
-			if m.And(succs, euSet) != bdd.False {
-				// pick the successor in the smallest ring, then descend.
-				var u kripke.State
-				ui := -1
-				for i, ring := range euRings {
-					if cand := m.And(succs, ring); cand != bdd.False {
-						u = s.PickState(cand)
-						ui = i
-						break
-					}
-				}
-				st := u
-				closing := []kripke.State{}
-				if !sameState(u, cycleHead) {
-					closing = append(closing, u)
-					for j := ui - 1; j >= 0; j-- {
-						nst := g.succIn(st, euRings[j])
-						if nst == nil {
-							return nil, errors.New("core: closure descent stuck")
-						}
-						st = nst
-						if sameState(st, cycleHead) {
-							break
-						}
-						closing = append(closing, st)
-					}
-					if !sameState(st, cycleHead) && !s.HasEdge(closing[len(closing)-1], cycleHead) {
-						return nil, errors.New("core: closure walk failed to reach cycle head")
-					}
-				}
+			closing, ok, err := g.closeCycle(f, tr.States[len(tr.States)-1], cycleHead)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
 				tr.States = append(tr.States, closing...)
 				g.Stats.RingSteps += uint64(len(closing))
 				tr.CycleStart = cycleHeadIdx
