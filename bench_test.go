@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -499,871 +500,271 @@ func BenchmarkReorder(b *testing.B) {
 	}
 }
 
-// --- BENCH_partition.json: the partitioning before/after artifact -----
+// --- BENCH_rows.json: the one bench recorder --------------------------
 //
-// TestRecordPartitionBench is gated behind BENCH_PARTITION=1 (it runs
-// minutes of wall time) and writes BENCH_partition.json: for the Seitz
-// arbiter and the scaled-arbiter family it records wall time, peak live
-// BDD nodes, relational-product counters and AndExists cache behavior
-// for the partitioned and the monolithic transition relation. At 6 and
-// 8 cells the monolithic BDD cannot even be materialized within the
-// node budget — those entries record the capped build attempt, which is
-// the paper's point: the conjunction is the object partitioning avoids.
-
-type partitionBenchEntry struct {
-	Model            string  `json:"model"`
-	Cells            int     `json:"cells"`
-	Mode             string  `json:"mode"`
-	Workload         string  `json:"workload"`
-	Completed        bool    `json:"completed"`
-	WallMS           float64 `json:"wall_ms"`
-	PeakLiveNodes    int     `json:"peak_live_nodes"`
-	ImageCalls       uint64  `json:"image_calls,omitempty"`
-	PreimageCalls    uint64  `json:"preimage_calls,omitempty"`
-	ClusterSteps     uint64  `json:"cluster_steps,omitempty"`
-	AndExistsLookups uint64  `json:"and_exists_lookups,omitempty"`
-	AndExistsHits    uint64  `json:"and_exists_hits,omitempty"`
-	Clusters         int     `json:"clusters,omitempty"`
-	SumClusterNodes  int     `json:"sum_cluster_nodes,omitempty"`
-	TransNodes       int     `json:"trans_nodes,omitempty"`
-	ReachableStates  float64 `json:"reachable_states,omitempty"`
-	CacheHitRate     float64 `json:"cache_hit_rate"`
-	BytesPerNode     float64 `json:"bytes_per_node"`
-	Note             string  `json:"note,omitempty"`
-}
-
-// arenaMetrics returns the computed-cache hit rate since the last
-// ResetRelStats and the arena footprint per live node, recorded in
-// every artifact so benchgate can gate hit-rate regressions.
-func arenaMetrics(s *kripke.Symbolic) (hitRate, bytesPerNode float64) {
-	rs := s.RelStats()
-	return rs.CacheHitRate(), float64(s.M.ArenaBytes()) / float64(s.M.NumNodes())
-}
-
-// benchModel compiles a fresh instance so cache and node-table state
-// never leaks between measured modes.
-type benchModel struct {
-	name    string
-	cells   int
-	compile func() (*kripke.Symbolic, error)
-}
-
-func partitionBenchModels() []benchModel {
-	models := []benchModel{{
-		name:  "seitz.smv",
-		cells: 2,
-		compile: func() (*kripke.Symbolic, error) {
-			src, err := os.ReadFile("models/seitz.smv")
-			if err != nil {
-				return nil, err
-			}
-			c, err := smv.CompileSource(string(src))
-			if err != nil {
-				return nil, err
-			}
-			return c.S, nil
-		},
-	}}
-	for _, k := range []int{2, 3, 4} {
-		k := k
-		models = append(models, benchModel{
-			name:    fmt.Sprintf("scaled-arbiter-k%d", k),
-			cells:   2 * k,
-			compile: func() (*kripke.Symbolic, error) { return circuit.ScaledArbiter(k).Compile() },
-		})
-	}
-	return models
-}
-
-func TestRecordPartitionBench(t *testing.T) {
-	if os.Getenv("BENCH_PARTITION") != "1" {
-		t.Skip("set BENCH_PARTITION=1 to record BENCH_partition.json")
-	}
-	const (
-		gcThreshold  = 1 << 16   // tight threshold: peaks reflect live sets
-		nodeBudget   = 6_000_000 // cap for the monolithic build attempt
-		buildTimeout = 30 * time.Second
-		boundedSteps = 10 // BFS steps at sizes where the full fixpoint blows up
-	)
-	var entries []partitionBenchEntry
-
-	baseEntry := func(bm benchModel, s *kripke.Symbolic, mode, workload string, wall time.Duration, ae0 bdd.Stats) partitionBenchEntry {
-		rs := s.RelStats()
-		p := s.Partition()
-		e := partitionBenchEntry{
-			Model:            bm.name,
-			Cells:            bm.cells,
-			Mode:             mode,
-			Workload:         workload,
-			Completed:        true,
-			WallMS:           float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:    rs.PeakLiveNodes,
-			ImageCalls:       rs.ImageCalls,
-			PreimageCalls:    rs.PreimageCalls,
-			ClusterSteps:     rs.ClusterSteps,
-			AndExistsLookups: s.M.Stats.AndExistsLookups - ae0.AndExistsLookups,
-			AndExistsHits:    s.M.Stats.AndExistsHits - ae0.AndExistsHits,
-		}
-		e.CacheHitRate, e.BytesPerNode = arenaMetrics(s)
-		if p != nil {
-			e.Clusters = p.NumClusters()
-			for _, c := range p.Clusters() {
-				e.SumClusterNodes += s.M.Size(c)
-			}
-		}
-		return e
-	}
-
-	// fullWorkload: the complete reachability fixpoint followed by a
-	// short backward EX sweep, exercising both quantification schedules.
-	fullWorkload := func(bm benchModel, s *kripke.Symbolic, mode string) partitionBenchEntry {
-		s.M.GC()
-		s.ResetRelStats()
-		ae0 := s.M.Stats
-		t0 := time.Now()
-		reach, _ := s.Reachable()
-		pre := reach
-		for i := 0; i < 3; i++ {
-			pre = s.Preimage(pre)
-		}
-		e := baseEntry(bm, s, mode, "reachable+ex3", time.Since(t0), ae0)
-		e.ReachableStates = s.CountStates(reach)
-		return e
-	}
-
-	// boundedWorkload: a fixed number of frontier steps for sizes where
-	// the full reachable set is itself out of reach.
-	boundedWorkload := func(bm benchModel, s *kripke.Symbolic, mode string) partitionBenchEntry {
-		m := s.M
-		m.GC()
-		s.ResetRelStats()
-		ae0 := m.Stats
-		t0 := time.Now()
-		reached := m.Protect(s.Init)
-		frontier := m.Protect(s.Init)
-		for i := 0; i < boundedSteps && frontier != bdd.False; i++ {
-			img := s.Image(frontier)
-			m.Unprotect(frontier)
-			frontier = m.Protect(m.Diff(img, reached))
-			m.Unprotect(reached)
-			reached = m.Protect(m.Or(reached, frontier))
-			m.MaybeGC()
-		}
-		e := baseEntry(bm, s, mode, fmt.Sprintf("bfs-%d", boundedSteps), time.Since(t0), ae0)
-		m.Unprotect(frontier)
-		m.Unprotect(reached)
-		return e
-	}
-
-	// cappedMonolithicBuild: try to materialize the monolithic relation
-	// under a node and time budget, recording where it gives out.
-	cappedMonolithicBuild := func(bm benchModel, s *kripke.Symbolic) partitionBenchEntry {
-		m := s.M
-		p := s.Partition()
-		t0 := time.Now()
-		acc := m.Protect(bdd.True)
-		for i, c := range p.Clusters() {
-			next := m.Protect(m.And(acc, c))
-			m.Unprotect(acc)
-			acc = next
-			if m.NumNodes() > nodeBudget || time.Since(t0) > buildTimeout {
-				e := partitionBenchEntry{
-					Model:         bm.name,
-					Cells:         bm.cells,
-					Mode:          "monolithic",
-					Workload:      "trans-materialization",
-					Completed:     false,
-					WallMS:        float64(time.Since(t0).Microseconds()) / 1000,
-					PeakLiveNodes: m.NumNodes(),
-					Clusters:      p.NumClusters(),
-					Note: fmt.Sprintf(
-						"monolithic Trans BDD aborted at cluster %d/%d: node budget %d exceeded; partial conjunction already %d nodes",
-						i+1, p.NumClusters(), nodeBudget, m.Size(acc)),
-				}
-				e.CacheHitRate, e.BytesPerNode = arenaMetrics(s)
-				m.Unprotect(acc)
-				return e
-			}
-		}
-		e := partitionBenchEntry{
-			Model: bm.name, Cells: bm.cells, Mode: "monolithic",
-			Workload: "trans-materialization", Completed: true,
-			WallMS:        float64(time.Since(t0).Microseconds()) / 1000,
-			PeakLiveNodes: m.NumNodes(),
-			TransNodes:    m.Size(acc),
-		}
-		e.CacheHitRate, e.BytesPerNode = arenaMetrics(s)
-		m.Unprotect(acc)
-		return e
-	}
-
-	for _, bm := range partitionBenchModels() {
-		// Partitioned run.
-		s, err := bm.compile()
-		if err != nil {
-			t.Fatalf("%s: %v", bm.name, err)
-		}
-		s.M.SetGCThreshold(gcThreshold)
-		bounded := bm.cells >= 6
-		if bounded {
-			entries = append(entries, boundedWorkload(bm, s, "partitioned"))
-		} else {
-			entries = append(entries, fullWorkload(bm, s, "partitioned"))
-		}
-
-		// Monolithic run, on a fresh instance.
-		s, err = bm.compile()
-		if err != nil {
-			t.Fatalf("%s: %v", bm.name, err)
-		}
-		s.M.SetGCThreshold(gcThreshold)
-		if bounded {
-			// The full monolithic relation does not fit the node budget
-			// at these sizes; record the capped build attempt.
-			entries = append(entries, cappedMonolithicBuild(bm, s))
-			continue
-		}
-		s.EnablePartition(false)
-		buildStart := time.Now()
-		transNodes := s.M.Size(s.Trans()) // materialization is part of the story
-		buildMS := float64(time.Since(buildStart).Microseconds()) / 1000
-		e := fullWorkload(bm, s, "monolithic")
-		e.TransNodes = transNodes
-		e.Note = fmt.Sprintf("monolithic Trans materialized in %.1fms", buildMS)
-		entries = append(entries, e)
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_partition.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_partition.json with %d entries", len(entries))
-
-	// The artifact must actually demonstrate the claim: at >= 8 cells the
-	// partitioned run completes while the monolithic attempt exhausts its
-	// node budget, and at sizes where both complete the partitioned run
-	// is faster with a lower peak.
-	byKey := map[string]partitionBenchEntry{}
-	for _, e := range entries {
-		byKey[e.Model+"/"+e.Mode] = e
-	}
-	part8 := byKey["scaled-arbiter-k4/partitioned"]
-	mono8 := byKey["scaled-arbiter-k4/monolithic"]
-	if !part8.Completed || mono8.Completed {
-		t.Fatalf("8-cell separation not demonstrated: partitioned=%+v monolithic=%+v", part8, mono8)
-	}
-	if part8.PeakLiveNodes >= mono8.PeakLiveNodes {
-		t.Fatalf("8 cells: partitioned peak %d not below monolithic peak %d",
-			part8.PeakLiveNodes, mono8.PeakLiveNodes)
-	}
-	part4, mono4 := byKey["scaled-arbiter-k2/partitioned"], byKey["scaled-arbiter-k2/monolithic"]
-	if part4.WallMS >= mono4.WallMS || part4.PeakLiveNodes >= mono4.PeakLiveNodes {
-		t.Fatalf("4 cells: partitioned (%.1fms, %d nodes) not below monolithic (%.1fms, %d nodes)",
-			part4.WallMS, part4.PeakLiveNodes, mono4.WallMS, mono4.PeakLiveNodes)
-	}
-}
-
-// --- BENCH_reorder.json: the dynamic-reordering artifact --------------
+// TestRecordBench is gated behind BENCH_RECORD=1 (it runs minutes of
+// wall time) and writes BENCH_rows.json, one row per case of
+// benchCases(). A case is (model, config, workers, workload):
 //
-// TestRecordReorderBench is gated behind BENCH_REORDER=1 and writes
-// BENCH_reorder.json: the scaled-arbiter family at 4..8 cells runs the
-// same bounded bfs-10 partitioned workload as the partition benchmark,
-// once with reordering off and once with growth-triggered sifting on,
-// recording wall time, peak live nodes and sift-event counts. The PR-1
-// partitioned baseline from BENCH_partition.json rides along in each
-// off entry so the artifact is self-contained.
-
-type reorderBenchEntry struct {
-	Model          string  `json:"model"`
-	Cells          int     `json:"cells"`
-	Reorder        bool    `json:"reorder"`
-	Workload       string  `json:"workload"`
-	WallMS         float64 `json:"wall_ms"`
-	PeakLiveNodes  int     `json:"peak_live_nodes"`
-	FinalLiveNodes int     `json:"final_live_nodes"`
-	SiftEvents     uint64  `json:"sift_events"`
-	SiftPasses     uint64  `json:"sift_passes,omitempty"`
-	SiftTrials     uint64  `json:"sift_trials,omitempty"`
-	ReorderMS      float64 `json:"reorder_ms,omitempty"`
-	NodesSaved     int64   `json:"nodes_saved,omitempty"`
-	BaselinePeak   int     `json:"pr1_baseline_peak,omitempty"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	BytesPerNode   float64 `json:"bytes_per_node"`
-	Note           string  `json:"note,omitempty"`
-}
-
-func TestRecordReorderBench(t *testing.T) {
-	if os.Getenv("BENCH_REORDER") != "1" {
-		t.Skip("set BENCH_REORDER=1 to record BENCH_reorder.json")
-	}
-	const (
-		gcThreshold  = 1 << 16 // same as the partition benchmark
-		boundedSteps = 10
-	)
-
-	// PR-1 partitioned bfs-10 peaks from BENCH_partition.json, keyed by
-	// model name, for side-by-side comparison in the artifact.
-	baseline := map[string]int{}
-	if raw, err := os.ReadFile("BENCH_partition.json"); err == nil {
-		var prev []partitionBenchEntry
-		if err := json.Unmarshal(raw, &prev); err == nil {
-			for _, e := range prev {
-				if e.Mode == "partitioned" && strings.HasPrefix(e.Workload, "bfs-") {
-					baseline[e.Model] = e.PeakLiveNodes
-				}
-			}
-		}
-	}
-
-	run := func(bm benchModel, reorder bool) reorderBenchEntry {
-		s, err := bm.compile()
-		if err != nil {
-			t.Fatalf("%s: %v", bm.name, err)
-		}
-		m := s.M
-		m.SetGCThreshold(gcThreshold)
-		if reorder {
-			m.EnableAutoReorder(nil)
-		}
-		m.GC()
-		s.ResetRelStats()
-		t0 := time.Now()
-		reached := m.Protect(s.Init)
-		frontier := m.Protect(s.Init)
-		// Protection keeps the sets alive across sift events, but the
-		// locals must also be rewritten in place when a reorder fires
-		// inside Image — that is exactly what the registry is for.
-		id := m.RegisterRefs(&reached, &frontier)
-		for i := 0; i < boundedSteps && frontier != bdd.False; i++ {
-			img := s.Image(frontier)
-			m.Unprotect(frontier)
-			frontier = m.Protect(m.Diff(img, reached))
-			m.Unprotect(reached)
-			reached = m.Protect(m.Or(reached, frontier))
-			m.MaybeGC()
-		}
-		wall := time.Since(t0)
-		m.Unregister(id)
-		m.Unprotect(frontier)
-		m.Unprotect(reached)
-		rs := s.RelStats()
-		e := reorderBenchEntry{
-			Model:          bm.name,
-			Cells:          bm.cells,
-			Reorder:        reorder,
-			Workload:       fmt.Sprintf("bfs-%d", boundedSteps),
-			WallMS:         float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:  rs.PeakLiveNodes,
-			FinalLiveNodes: m.NumNodes(),
-			SiftEvents:     m.Stats.AutoReorders,
-			SiftPasses:     m.Stats.SiftPasses,
-			SiftTrials:     m.Stats.SiftTrials,
-			ReorderMS:      float64(m.Stats.ReorderTime.Microseconds()) / 1000,
-			NodesSaved:     m.Stats.ReorderSavedNodes,
-		}
-		e.CacheHitRate, e.BytesPerNode = arenaMetrics(s)
-		if !reorder {
-			e.BaselinePeak = baseline[bm.name]
-		}
-		return e
-	}
-
-	var entries []reorderBenchEntry
-	for _, k := range []int{2, 3, 4} {
-		bm := benchModel{
-			name:    fmt.Sprintf("scaled-arbiter-k%d", k),
-			cells:   2 * k,
-			compile: func() (*kripke.Symbolic, error) { return circuit.ScaledArbiter(k).Compile() },
-		}
-		off := run(bm, false)
-		on := run(bm, true)
-		entries = append(entries, off, on)
-		t.Logf("%s: peak %d -> %d (%d sift events, %.1fms reordering)",
-			bm.name, off.PeakLiveNodes, on.PeakLiveNodes, on.SiftEvents, on.ReorderMS)
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_reorder.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Acceptance: at 8 cells the reordered run must finish the bounded
-	// sweep with a lower peak than the PR-1 partitioned baseline.
-	const pr1Peak = 1_403_708
-	want := pr1Peak
-	if b, ok := baseline["scaled-arbiter-k4"]; ok {
-		want = b
-	}
-	for _, e := range entries {
-		if e.Model == "scaled-arbiter-k4" && e.Reorder {
-			if e.SiftEvents == 0 {
-				t.Errorf("8 cells: reordering enabled but no sift event fired")
-			}
-			if e.PeakLiveNodes >= want {
-				t.Errorf("8 cells: reordered peak %d not below PR-1 baseline %d",
-					e.PeakLiveNodes, want)
-			}
-		}
-	}
-}
-
-// --- BENCH_sift.json: the in-place sifting engine ---------------------
+//	model     a models/*.smv file, a generated scaled instance
+//	          (scaled-ring-8, hanoi-7, chase-16, arbiter-8) or a scaled
+//	          Seitz-arbiter netlist (scaled-arbiter-kN, 2N cells)
+//	config    the image mode (partitioned, monolithic or disjunctive),
+//	          with "+sift" for growth-triggered reordering
+//	workers   the parallel engine's worker count
+//	workload  bfs-10 (ten frontier steps, for sizes whose full fixpoint
+//	          is out of reach), reachable, reachable+ex3 (the fixpoint
+//	          and three backward EX steps), trans-materialization (the
+//	          monolithic relation built under a node budget),
+//	          "ctl <spec>" / "ltl <spec>" (one spec checked, its trace
+//	          validated), or "smvd <phase>" (the session-cache phases)
 //
-// TestRecordSiftBench is gated behind BENCH_SIFT=1 and writes
-// BENCH_sift.json: the bounded bfs-10 partitioned workload on the
-// 6- and 8-cell scaled arbiters and the 8-station token ring with
-// growth-triggered sifting by in-place adjacent-level swaps. Kept fast
-// on purpose: the CI bench-smoke job replays it and gates peak live
-// nodes (25%) plus total reordering wall time (generous 2x,
-// cmd/benchgate -time-metric) against this baseline.
+// Every case compiles fresh, so caches and node tables never leak
+// between cases, and runs benchReps times. Within a sweep (the cases
+// sharing model and workload) the order rotates on every repetition,
+// so no configuration always runs first on a cold heap. A row is the
+// median-wall run; on one worker every counter must repeat exactly
+// across the repetitions. benchChecks are the acceptance assertions a
+// recording must pass, and cmd/benchgate gates a re-recording against
+// the committed file with the bands of each row's group.
 
-type siftBenchEntry struct {
-	Model          string  `json:"model"`
-	Cells          int     `json:"cells"`
-	Engine         string  `json:"engine"`
-	Workload       string  `json:"workload"`
-	WallMS         float64 `json:"wall_ms"`
-	PeakLiveNodes  int     `json:"peak_live_nodes"`
-	FinalLiveNodes int     `json:"final_live_nodes"`
-	SiftEvents     uint64  `json:"sift_events"`
-	SiftPasses     uint64  `json:"sift_passes,omitempty"`
-	SiftTrials     uint64  `json:"sift_trials,omitempty"`
-	SiftSwaps      uint64  `json:"sift_swaps,omitempty"`
-	SiftAborts     uint64  `json:"sift_aborts,omitempty"`
-	SiftTimeouts   uint64  `json:"sift_timeouts,omitempty"`
-	ReorderMS      float64 `json:"reorder_ms"`
-	NodesSaved     int64   `json:"nodes_saved,omitempty"`
-	CacheHitRate   float64 `json:"cache_hit_rate"`
-	BytesPerNode   float64 `json:"bytes_per_node"`
+const (
+	benchReps        = 3
+	benchGC          = 1 << 16 // tight GC threshold: peaks reflect live sets
+	bfsSteps         = 10
+	monoNodeBudget   = 6_000_000 // cap for the monolithic build attempt
+	monoBuildTimeout = 30 * time.Second
+)
+
+// latticeReorder is the modelgen lattice's trigger profile: MinNodes
+// low enough that scenario-sized spec checks actually sift. Image
+// workloads sift with the manager's defaults.
+var latticeReorder = bdd.ReorderOptions{GrowthTrigger: 1.5, MinNodes: 256, MaxPasses: 1, Window: 4, MaxBlocks: 16}
+
+// benchHost fingerprints the machine a row was recorded on.
+type benchHost struct {
+	OSArch     string `json:"os_arch"`
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
 }
 
-func TestRecordSiftBench(t *testing.T) {
-	if os.Getenv("BENCH_SIFT") != "1" {
-		t.Skip("set BENCH_SIFT=1 to record BENCH_sift.json")
-	}
-	const (
-		gcThreshold  = 1 << 16 // same schedule as the partition/reorder benchmarks
-		boundedSteps = 10
-	)
-
-	run := func(bm benchModel) siftBenchEntry {
-		s, err := bm.compile()
-		if err != nil {
-			t.Fatalf("%s: %v", bm.name, err)
-		}
-		m := s.M
-		m.SetGCThreshold(gcThreshold)
-		m.EnableAutoReorder(nil)
-		m.GC()
-		s.ResetRelStats()
-		t0 := time.Now()
-		reached := m.Protect(s.Init)
-		frontier := m.Protect(s.Init)
-		id := m.RegisterRefs(&reached, &frontier)
-		for i := 0; i < boundedSteps && frontier != bdd.False; i++ {
-			img := s.Image(frontier)
-			m.Unprotect(frontier)
-			frontier = m.Protect(m.Diff(img, reached))
-			m.Unprotect(reached)
-			reached = m.Protect(m.Or(reached, frontier))
-			m.MaybeGC()
-		}
-		wall := time.Since(t0)
-		m.Unregister(id)
-		m.Unprotect(frontier)
-		m.Unprotect(reached)
-		rs := s.RelStats()
-		hitRate, bpn := arenaMetrics(s)
-		return siftBenchEntry{
-			CacheHitRate:   hitRate,
-			BytesPerNode:   bpn,
-			Model:          bm.name,
-			Cells:          bm.cells,
-			Engine:         "in-place",
-			Workload:       fmt.Sprintf("bfs-%d", boundedSteps),
-			WallMS:         float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:  rs.PeakLiveNodes,
-			FinalLiveNodes: m.NumNodes(),
-			SiftEvents:     m.Stats.AutoReorders,
-			SiftPasses:     m.Stats.SiftPasses,
-			SiftTrials:     m.Stats.SiftTrials,
-			SiftSwaps:      m.Stats.SiftSwaps,
-			SiftAborts:     m.Stats.SiftAborts,
-			SiftTimeouts:   m.Stats.SiftTimeouts,
-			ReorderMS:      float64(m.Stats.ReorderTime.Microseconds()) / 1000,
-			NodesSaved:     m.Stats.ReorderSavedNodes,
-		}
-	}
-
-	models := []benchModel{}
-	for _, k := range []int{3, 4} {
-		k := k
-		models = append(models, benchModel{
-			name:    fmt.Sprintf("scaled-arbiter-k%d", k),
-			cells:   2 * k,
-			compile: func() (*kripke.Symbolic, error) { return circuit.ScaledArbiter(k).Compile() },
-		})
-	}
-	ringSrc := scaledRingSource(8)
-	models = append(models, benchModel{
-		name:  "scaled-ring-8",
-		cells: 8,
-		compile: func() (*kripke.Symbolic, error) {
-			c, err := smv.CompileSource(ringSrc)
-			if err != nil {
-				return nil, err
+func hostFingerprint() benchHost {
+	cpu := "unknown"
+	if info, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(info), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				cpu = strings.TrimSpace(v)
+				break
 			}
-			return c.S, nil
-		},
-	})
-
-	var entries []siftBenchEntry
-	for _, bm := range models {
-		e := run(bm)
-		entries = append(entries, e)
-		t.Logf("%s: reorder %.1fms, final live %d, %d swaps",
-			bm.name, e.ReorderMS, e.FinalLiveNodes, e.SiftSwaps)
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_sift.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// The 8-cell arbiter bfs-10 workload must actually sift.
-	for _, e := range entries {
-		if e.Model == "scaled-arbiter-k4" && (e.SiftEvents == 0 || e.SiftSwaps == 0) {
-			t.Errorf("8 cells: recorded no sift work (events=%d swaps=%d)", e.SiftEvents, e.SiftSwaps)
 		}
 	}
+	return benchHost{runtime.GOOS + "/" + runtime.GOARCH, cpu, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version()}
 }
 
-// --- BENCH_ltl.json: the LTL tableau-product artifact -----------------
-//
-// TestRecordLTLBench is gated behind BENCH_LTL=1 and writes
-// BENCH_ltl.json: every LTLSPEC of the ABP and Peterson scenario models
-// is checked through the tableau product, recording wall time, peak
-// live BDD nodes, tableau size (promise variables, generalized-Büchi
-// sets, clusters) and counterexample lasso lengths. Verdicts are
-// asserted against the scenarioVerdicts tables so a broken product
-// cannot silently record a fast-but-wrong run. Kept fast on purpose:
-// the CI bench-smoke job replays it on every push and gates peak live
-// nodes against this baseline (cmd/benchgate).
+// benchRow is the one row schema: identity (group, model, config,
+// workers, workload, and the verdict or abort a run ends in), host,
+// wall time, and every counter a workload produces.
+type benchRow struct {
+	Group    string    `json:"group"`
+	Model    string    `json:"model"`
+	Config   string    `json:"config"`
+	Workers  int       `json:"workers"`
+	Workload string    `json:"workload"`
+	Holds    *bool     `json:"holds,omitempty"`
+	Aborted  bool      `json:"aborted,omitempty"`
+	Host     benchHost `json:"host"`
+	WallMS   float64   `json:"wall_ms"`
 
-type ltlBenchEntry struct {
-	Model         string  `json:"model"`
-	Spec          string  `json:"spec"`
-	Holds         bool    `json:"holds"`
-	WallMS        float64 `json:"wall_ms"`
-	PeakLiveNodes int     `json:"peak_live_nodes"`
-	TableauVars   int     `json:"tableau_vars"`
-	FairnessSets  int     `json:"fairness_sets"`
-	Clusters      int     `json:"clusters"`
-	LassoStem     int     `json:"lasso_stem,omitempty"`
-	LassoCycle    int     `json:"lasso_cycle,omitempty"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	BytesPerNode  float64 `json:"bytes_per_node"`
+	PeakLiveNodes     int     `json:"peak_live_nodes,omitempty"`
+	FinalLiveNodes    int     `json:"final_live_nodes,omitempty"`
+	ReachableStates   float64 `json:"reachable_states,omitempty"`
+	ReachIters        int     `json:"reach_iters,omitempty"`
+	ImageCalls        uint64  `json:"image_calls,omitempty"`
+	PreimageCalls     uint64  `json:"preimage_calls,omitempty"`
+	ClusterSteps      uint64  `json:"cluster_steps,omitempty"`
+	DisjunctSteps     uint64  `json:"disjunct_steps,omitempty"`
+	ParallelBatches   uint64  `json:"parallel_batches,omitempty"`
+	AndExistsLookups  uint64  `json:"and_exists_lookups,omitempty"`
+	AndExistsHits     uint64  `json:"and_exists_hits,omitempty"`
+	CacheHitRate      float64 `json:"cache_hit_rate,omitempty"`
+	BytesPerNode      float64 `json:"bytes_per_node,omitempty"`
+	Clusters          int     `json:"clusters,omitempty"`
+	SumClusterNodes   int     `json:"sum_cluster_nodes,omitempty"`
+	Components        int     `json:"components,omitempty"`
+	TransNodes        int     `json:"trans_nodes,omitempty"`
+	SiftEvents        uint64  `json:"sift_events,omitempty"`
+	SiftPasses        uint64  `json:"sift_passes,omitempty"`
+	SiftTrials        uint64  `json:"sift_trials,omitempty"`
+	SiftSwaps         uint64  `json:"sift_swaps,omitempty"`
+	SiftAborts        uint64  `json:"sift_aborts,omitempty"`
+	SiftTimeouts      uint64  `json:"sift_timeouts,omitempty"`
+	NodesSaved        int64   `json:"nodes_saved,omitempty"`
+	ReorderMS         float64 `json:"reorder_ms,omitempty"`
+	ParallelSections  uint64  `json:"parallel_sections,omitempty"`
+	ParallelJobs      uint64  `json:"parallel_jobs,omitempty"`
+	ParallelForks     uint64  `json:"parallel_forks,omitempty"`
+	PeakForksInFlight int     `json:"peak_forks_in_flight,omitempty"`
+	TableauVars       int     `json:"tableau_vars,omitempty"`
+	FairnessSets      int     `json:"fairness_sets,omitempty"`
+	LassoStem         int     `json:"lasso_stem,omitempty"`
+	LassoCycle        int     `json:"lasso_cycle,omitempty"`
+	WarmSpeedup       float64 `json:"warm_speedup,omitempty"`
+	QPS               float64 `json:"qps,omitempty"`
+	Queries           uint64  `json:"queries,omitempty"`
+	Note              string  `json:"note,omitempty"`
 }
 
-func TestRecordLTLBench(t *testing.T) {
-	if os.Getenv("BENCH_LTL") != "1" {
-		t.Skip("set BENCH_LTL=1 to record BENCH_ltl.json")
-	}
-	const gcThreshold = 1 << 16 // same schedule as the other artifacts
+// counters renders the row without its timing fields: what a
+// one-worker case must repeat exactly.
+func (r benchRow) counters() string {
+	r.WallMS, r.ReorderMS, r.WarmSpeedup, r.QPS, r.Note = 0, 0, 0, 0, ""
+	out, _ := json.Marshal(r)
+	return string(out)
+}
 
-	var entries []ltlBenchEntry
-	for _, name := range []string{"abp.smv", "peterson.smv"} {
-		src, err := os.ReadFile("models/" + name)
-		if err != nil {
-			t.Fatal(err)
+type benchKey struct {
+	model, config string
+	workers       int
+	workload      string
+}
+
+type benchCase struct {
+	benchKey
+	group string
+	spec  int  // index into the module's SPECs or LTLSPECs
+	want  bool // the spec's scenarioVerdicts verdict
+}
+
+// benchCases is the case table.
+func benchCases() ([]benchCase, error) {
+	var cs []benchCase
+	add := func(group, model, config string, workers int, workloads ...string) {
+		for _, w := range workloads {
+			cs = append(cs, benchCase{benchKey: benchKey{model, config, workers, w}, group: group})
 		}
-		module, err := smv.ParseModule(string(src))
-		if err != nil {
-			t.Fatal(err)
+	}
+	// Partitioned vs monolithic image (the E11 ablation). From 6 cells
+	// on, the monolithic relation itself exceeds the node budget: its
+	// capped build attempt is the row, and partitioned runs bfs-10.
+	for _, m := range []string{"seitz.smv", "scaled-arbiter-k2"} {
+		add("counters", m, "partitioned", 1, "reachable+ex3")
+		add("counters", m, "monolithic", 1, "reachable+ex3")
+	}
+	add("counters", "scaled-arbiter-k3", "monolithic", 1, "trans-materialization")
+	add("counters", "scaled-arbiter-k4", "monolithic", 1, "trans-materialization")
+	// bfs-10 without and with sifting. k4 without sifting is also the
+	// one-worker baseline of the parallel sweep below.
+	add("counters", "scaled-arbiter-k2", "partitioned", 1, "bfs-10")
+	add("counters", "scaled-arbiter-k3", "partitioned", 1, "bfs-10")
+	for _, m := range []string{"scaled-arbiter-k2", "scaled-arbiter-k3", "scaled-arbiter-k4", "scaled-ring-8"} {
+		add("sift", m, "partitioned+sift", 1, "bfs-10")
+	}
+	// The shared-memory parallel engine: large conjunctive image steps
+	// fork inside the kernels; ring components run as concurrent jobs.
+	for _, w := range []int{1, 2, 4, 8} {
+		group := "parallel"
+		if w == 1 {
+			group = "parallel-seq"
 		}
-		want := scenarioVerdicts[name]
-		if len(module.LTLSpecs) != len(want.ltl) {
-			t.Fatalf("%s: %d LTLSPECs but %d expected verdicts", name, len(module.LTLSpecs), len(want.ltl))
+		add(group, "scaled-arbiter-k4", "partitioned", w, "bfs-10")
+		add(group, "scaled-ring-8", "disjunctive", w, "reachable")
+	}
+	// Disjunctive vs conjunctive image. dining and mutex are synchronous
+	// (no process components) and ride along for continuity.
+	for _, m := range []string{"dining.smv", "mutex.smv"} {
+		add("counters", m, "partitioned", 1, "reachable+ex3")
+		add("counters", m, "monolithic", 1, "reachable+ex3")
+	}
+	for _, m := range []string{"ring.smv", "scaled-ring-8"} {
+		add("counters", m, "partitioned", 1, "reachable+ex3")
+		for _, w := range []int{1, 2, 4} {
+			add("counters", m, "disjunctive", w, "reachable+ex3")
+		}
+	}
+	// Spec checks, verdicts asserted against scenarioVerdicts (the
+	// scaled instances keep their shipped model's verdicts).
+	for _, sc := range []struct {
+		group, model, verdicts, config string
+		ctl                            bool
+	}{
+		{"counters", "abp.smv", "abp.smv", "partitioned", false},
+		{"counters", "peterson.smv", "peterson.smv", "partitioned", false},
+		{"wall", "hanoi.smv", "hanoi.smv", "partitioned+sift", true},
+		{"wall", "chase.smv", "chase.smv", "partitioned+sift", true},
+		{"wall", "hanoi-7", "hanoi.smv", "partitioned+sift", true},
+		{"wall", "chase-16", "chase.smv", "partitioned+sift", true},
+	} {
+		src, err := benchSource(sc.model)
+		if err != nil {
+			return nil, err
+		}
+		module, err := smv.ParseModule(src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %v", sc.model, err)
+		}
+		want, ok := scenarioVerdicts[sc.verdicts]
+		if !ok || len(module.Specs) != len(want.ctl) || len(module.LTLSpecs) != len(want.ltl) {
+			return nil, fmt.Errorf("%s: spec counts do not match the %s verdict table", sc.model, sc.verdicts)
+		}
+		specCase := func(kind string, i int, f fmt.Stringer, holds bool) {
+			cs = append(cs, benchCase{benchKey: benchKey{sc.model, sc.config, 1, kind + " " + f.String()}, group: sc.group, spec: i, want: holds})
+		}
+		if sc.ctl {
+			for i, sp := range module.Specs {
+				specCase("ctl", i, sp.Formula, want.ctl[i])
+			}
 		}
 		for i, sp := range module.LTLSpecs {
-			p, err := smv.CompileLTL(module, sp.Formula, sp.Source)
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, sp.Source, err)
-			}
-			p.S.M.SetGCThreshold(gcThreshold)
-			p.S.M.GC()
-			p.S.ResetRelStats()
-			t0 := time.Now()
-			ch := mc.New(p.S)
-			holds, tr, err := p.Check(ch)
-			wall := time.Since(t0)
-			if err != nil {
-				t.Fatalf("%s %s: %v", name, sp.Source, err)
-			}
-			if holds != want.ltl[i] {
-				t.Fatalf("%s %s: got %v, want %v — refusing to record a wrong run",
-					name, sp.Source, holds, want.ltl[i])
-			}
-			e := ltlBenchEntry{
-				Model:         name,
-				Spec:          sp.Formula.String(),
-				Holds:         holds,
-				WallMS:        float64(wall.Microseconds()) / 1000,
-				PeakLiveNodes: p.S.RelStats().PeakLiveNodes,
-				TableauVars:   len(p.ElemVars),
-				FairnessSets:  len(p.S.Fair),
-				Clusters:      p.S.NumClusters(),
-			}
-			e.CacheHitRate, e.BytesPerNode = arenaMetrics(p.S)
-			if tr != nil {
-				if err := p.ReplayCounterexample(tr); err != nil {
-					t.Fatalf("%s %s: %v", name, sp.Source, err)
-				}
-				e.LassoStem = tr.CycleStart
-				e.LassoCycle = len(tr.States) - tr.CycleStart
-			}
-			ch.Close()
-			entries = append(entries, e)
+			specCase("ltl", i, sp.Formula, want.ltl[i])
 		}
 	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_ltl.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_ltl.json with %d entries", len(entries))
+	add("smvd", "arbiter-8", "partitioned", 1,
+		"smvd cold_compile", "smvd warm_query", "smvd sustained", "smvd warm_restart")
+	return cs, nil
 }
 
-// --- BENCH_models.json: the scenario-corpus artifact ------------------
-//
-// TestRecordModelsBench is gated behind BENCH_MODELS=1 and writes
-// BENCH_models.json: every SPEC and LTLSPEC of the hanoi and chase
-// scenario models — the shipped sizes plus scaled instances rendered by
-// the modelgen generators — is checked with growth-triggered sifting
-// enabled, recording wall time, peak live nodes, sift events and lasso
-// shapes. Verdicts are asserted against scenarioVerdicts (the tables
-// are size-independent by construction), so a wrong run is never
-// recorded. The scaled LTL products are sized to actually trip the
-// auto-reorder trigger; the assertion at the bottom keeps that true.
-// The CI bench-smoke job replays this and gates peak live nodes (25%)
-// plus wall time (2x) against the committed baseline (cmd/benchgate).
-
-type modelsBenchEntry struct {
-	Model         string  `json:"model"`
-	Spec          string  `json:"spec"`
-	Kind          string  `json:"kind"` // "ctl" | "ltl"
-	Holds         bool    `json:"holds"`
-	WallMS        float64 `json:"wall_ms"`
-	PeakLiveNodes int     `json:"peak_live_nodes"`
-	SiftEvents    uint64  `json:"sift_events,omitempty"`
-	TableauVars   int     `json:"tableau_vars,omitempty"`
-	LassoStem     int     `json:"lasso_stem,omitempty"`
-	LassoCycle    int     `json:"lasso_cycle,omitempty"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	BytesPerNode  float64 `json:"bytes_per_node"`
+// benchSource returns a bench model's SMV source: a models/ file or a
+// generated scaled instance.
+func benchSource(model string) (string, error) {
+	switch model {
+	case "scaled-ring-8":
+		return scaledRingSource(8), nil
+	case "hanoi-7":
+		return modelgen.HanoiSource(7), nil
+	case "chase-16":
+		return modelgen.ChaseSource(16), nil
+	case "arbiter-8":
+		return modelgen.ArbiterSource(8), nil
+	}
+	src, err := os.ReadFile("models/" + model)
+	return string(src), err
 }
 
-func TestRecordModelsBench(t *testing.T) {
-	if os.Getenv("BENCH_MODELS") != "1" {
-		t.Skip("set BENCH_MODELS=1 to record BENCH_models.json")
-	}
-	const gcThreshold = 1 << 16 // same schedule as the other artifacts
-	// Same trigger profile the modelgen lattice uses: MinNodes low
-	// enough that scenario-sized products actually sift.
-	reorderOpts := bdd.ReorderOptions{
-		GrowthTrigger: 1.5,
-		MinNodes:      256,
-		MaxPasses:     1,
-		Window:        4,
-		MaxBlocks:     16,
-	}
-
-	type scenario struct {
-		name     string
-		src      string
-		verdicts struct{ ctl, ltl []bool }
-	}
-	mustRead := func(name string) string {
-		src, err := os.ReadFile("models/" + name)
+// benchCompile compiles a fresh instance of a bench model.
+func benchCompile(model string) (*kripke.Symbolic, error) {
+	if k, ok := strings.CutPrefix(model, "scaled-arbiter-k"); ok {
+		n, err := strconv.Atoi(k)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		return string(src)
+		return circuit.ScaledArbiter(n).Compile()
 	}
-	scenarios := []scenario{
-		{name: "hanoi.smv", src: mustRead("hanoi.smv"), verdicts: scenarioVerdicts["hanoi.smv"]},
-		{name: "chase.smv", src: mustRead("chase.smv"), verdicts: scenarioVerdicts["chase.smv"]},
-		// Scaled instances: verdicts are size-independent (the puzzle
-		// stays solvable, the evader still escapes).
-		{name: "hanoi-7", src: modelgen.HanoiSource(7), verdicts: scenarioVerdicts["hanoi.smv"]},
-		{name: "chase-16", src: modelgen.ChaseSource(16), verdicts: scenarioVerdicts["chase.smv"]},
-	}
-
-	var entries []modelsBenchEntry
-	for _, sc := range scenarios {
-		module, err := smv.ParseModule(sc.src)
-		if err != nil {
-			t.Fatalf("%s: %v", sc.name, err)
-		}
-		if len(module.Specs) != len(sc.verdicts.ctl) || len(module.LTLSpecs) != len(sc.verdicts.ltl) {
-			t.Fatalf("%s: spec counts do not match the verdict table", sc.name)
-		}
-		for i, sp := range module.Specs {
-			c, err := smv.CompileSource(sc.src)
-			if err != nil {
-				t.Fatalf("%s: %v", sc.name, err)
-			}
-			c.S.M.SetGCThreshold(gcThreshold)
-			c.S.M.EnableAutoReorder(&reorderOpts)
-			c.S.ResetRelStats()
-			t0 := time.Now()
-			gen := core.NewGenerator(mc.New(c.S))
-			holds, tr, err := gen.CounterexampleInit(c.Module.Specs[i].Formula)
-			wall := time.Since(t0)
-			if err != nil {
-				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-			}
-			if holds != sc.verdicts.ctl[i] {
-				t.Fatalf("%s %s: got %v, want %v — refusing to record a wrong run",
-					sc.name, sp.Source, holds, sc.verdicts.ctl[i])
-			}
-			e := modelsBenchEntry{
-				Model:         sc.name,
-				Spec:          sp.Formula.String(),
-				Kind:          "ctl",
-				Holds:         holds,
-				WallMS:        float64(wall.Microseconds()) / 1000,
-				PeakLiveNodes: c.S.RelStats().PeakLiveNodes,
-				SiftEvents:    c.S.M.Stats.AutoReorders,
-			}
-			e.CacheHitRate, e.BytesPerNode = arenaMetrics(c.S)
-			if tr != nil {
-				if err := core.ValidatePath(c.S, tr); err != nil {
-					t.Fatalf("%s %s: invalid trace: %v", sc.name, sp.Source, err)
-				}
-				e.LassoStem = tr.CycleStart
-				e.LassoCycle = len(tr.States) - tr.CycleStart
-				if !tr.IsLasso() {
-					e.LassoStem, e.LassoCycle = len(tr.States), 0
-				}
-			}
-			entries = append(entries, e)
-		}
-		for i, sp := range module.LTLSpecs {
-			p, err := smv.CompileLTL(module, sp.Formula, sp.Source)
-			if err != nil {
-				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-			}
-			p.S.M.SetGCThreshold(gcThreshold)
-			p.S.M.EnableAutoReorder(&reorderOpts)
-			p.S.ResetRelStats()
-			t0 := time.Now()
-			ch := mc.New(p.S)
-			holds, tr, err := p.Check(ch)
-			wall := time.Since(t0)
-			if err != nil {
-				t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-			}
-			if holds != sc.verdicts.ltl[i] {
-				t.Fatalf("%s %s: got %v, want %v — refusing to record a wrong run",
-					sc.name, sp.Source, holds, sc.verdicts.ltl[i])
-			}
-			e := modelsBenchEntry{
-				Model:         sc.name,
-				Spec:          sp.Formula.String(),
-				Kind:          "ltl",
-				Holds:         holds,
-				WallMS:        float64(wall.Microseconds()) / 1000,
-				PeakLiveNodes: p.S.RelStats().PeakLiveNodes,
-				SiftEvents:    p.S.M.Stats.AutoReorders,
-				TableauVars:   len(p.ElemVars),
-			}
-			e.CacheHitRate, e.BytesPerNode = arenaMetrics(p.S)
-			if tr != nil {
-				if err := p.ReplayCounterexample(tr); err != nil {
-					t.Fatalf("%s %s: %v", sc.name, sp.Source, err)
-				}
-				e.LassoStem = tr.CycleStart
-				e.LassoCycle = len(tr.States) - tr.CycleStart
-			}
-			ch.Close()
-			entries = append(entries, e)
-		}
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
+	src, err := benchSource(model)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if err := os.WriteFile("BENCH_models.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
+	c, err := smv.CompileSource(src)
+	if err != nil {
+		return nil, err
 	}
-	t.Logf("wrote BENCH_models.json with %d entries", len(entries))
-
-	// Acceptance: the scaled LTL products must be big enough to trip
-	// growth-triggered sifting — otherwise the corpus is not exercising
-	// the reordering path it exists to cover.
-	var sifted bool
-	for _, e := range entries {
-		if e.Kind == "ltl" && (e.Model == "hanoi-7" || e.Model == "chase-16") && e.SiftEvents > 0 {
-			sifted = true
-		}
-	}
-	if !sifted {
-		t.Error("no scaled LTL product triggered auto-reordering")
-	}
-}
-
-// --- BENCH_disjunctive.json: the disjunctive-partitioning artifact ----
-//
-// TestRecordDisjunctiveBench is gated behind BENCH_DISJUNCTIVE=1 and
-// writes BENCH_disjunctive.json: for the shipped process models and a
-// scaled token ring it runs the same reachability workload under the
-// conjunctive schedule, the disjunctive image (sequential), and the
-// disjunctive image with worker goroutines on the shared parallel
-// engine, recording wall time, peak live nodes and the per-mode step
-// counters.
-// dining.smv and mutex.smv are synchronous — they carry no disjuncts
-// and ride along as conjunctive/monolithic continuity entries so the
-// artifact covers both composition styles. Kept fast on purpose: the CI
-// bench-smoke job replays it on every push and gates peak-live-node
-// regressions against the committed baseline (cmd/benchgate).
-
-type disjunctiveBenchEntry struct {
-	Model           string  `json:"model"`
-	Mode            string  `json:"mode"`
-	Workload        string  `json:"workload"`
-	Workers         int     `json:"workers"`
-	WallMS          float64 `json:"wall_ms"`
-	PeakLiveNodes   int     `json:"peak_live_nodes"`
-	ImageCalls      uint64  `json:"image_calls,omitempty"`
-	PreimageCalls   uint64  `json:"preimage_calls,omitempty"`
-	ClusterSteps    uint64  `json:"cluster_steps,omitempty"`
-	DisjunctSteps   uint64  `json:"disjunct_steps,omitempty"`
-	ParallelBatches uint64  `json:"parallel_batches,omitempty"`
-	Clusters        int     `json:"clusters,omitempty"`
-	Components      int     `json:"components,omitempty"`
-	ReachableStates float64 `json:"reachable_states,omitempty"`
-	CacheHitRate    float64 `json:"cache_hit_rate"`
-	BytesPerNode    float64 `json:"bytes_per_node"`
-	Note            string  `json:"note,omitempty"`
+	return c.S, nil
 }
 
 // scaledRingSource generates an n-station token ring in the SMV input
-// language — the scaled interleaved model of the disjunctive benchmark
-// (models/ring.smv is the shipped 3-station instance).
+// language, the scaled interleaved bench model (models/ring.smv is the
+// shipped 3-station instance).
 func scaledRingSource(n int) string {
 	var b strings.Builder
 	b.WriteString(`MODULE station(token, me, succ)
@@ -1402,581 +803,594 @@ VAR
 	return b.String()
 }
 
-func TestRecordDisjunctiveBench(t *testing.T) {
-	if os.Getenv("BENCH_DISJUNCTIVE") != "1" {
-		t.Skip("set BENCH_DISJUNCTIVE=1 to record BENCH_disjunctive.json")
+// configure applies a case's config and worker count to a fresh
+// structure.
+func configure(t *testing.T, s *kripke.Symbolic, c benchCase, sift *bdd.ReorderOptions) {
+	t.Helper()
+	s.M.SetGCThreshold(benchGC)
+	mode, sifted := strings.CutSuffix(c.config, "+sift")
+	switch mode {
+	case "partitioned":
+		if !s.HasClusters() {
+			t.Fatalf("%s: no clusters for partitioned mode", c.model)
+		}
+	case "monolithic":
+		s.EnablePartition(false)
+	case "disjunctive":
+		if s.NumDisjuncts() == 0 {
+			t.Fatalf("%s: no disjuncts for disjunctive mode", c.model)
+		}
+		s.EnableDisjunct(true)
+	default:
+		t.Fatalf("unknown config %q", c.config)
 	}
-	const gcThreshold = 1 << 16 // tight threshold: peaks reflect live sets
-
-	fromFile := func(name string) func() (*kripke.Symbolic, error) {
-		return func() (*kripke.Symbolic, error) {
-			src, err := os.ReadFile("models/" + name)
-			if err != nil {
-				return nil, err
-			}
-			c, err := smv.CompileSource(string(src))
-			if err != nil {
-				return nil, err
-			}
-			return c.S, nil
-		}
-	}
-	fromSource := func(src string) func() (*kripke.Symbolic, error) {
-		return func() (*kripke.Symbolic, error) {
-			c, err := smv.CompileSource(src)
-			if err != nil {
-				return nil, err
-			}
-			return c.S, nil
-		}
-	}
-
-	// run measures the reachability fixpoint plus a short backward sweep
-	// on a fresh instance per mode, so caches never leak across modes.
-	run := func(name string, compile func() (*kripke.Symbolic, error), mode string, workers int) disjunctiveBenchEntry {
-		s, err := compile()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		m := s.M
-		m.SetGCThreshold(gcThreshold)
-		switch mode {
-		case "disjunctive":
-			if s.NumDisjuncts() == 0 {
-				t.Fatalf("%s: no disjuncts for disjunctive mode", name)
-			}
-			s.EnableDisjunct(true)
-			s.SetWorkers(workers)
-		case "conjunctive":
-			if !s.HasClusters() {
-				t.Fatalf("%s: no clusters for conjunctive mode", name)
-			}
-		case "monolithic":
-			s.EnablePartition(false)
-		}
-		m.GC()
-		s.ResetRelStats()
-		t0 := time.Now()
-		reach, _ := s.Reachable()
-		pre := reach
-		for i := 0; i < 3; i++ {
-			pre = s.Preimage(pre)
-		}
-		wall := time.Since(t0)
-		rs := s.RelStats()
-		hitRate, bpn := arenaMetrics(s)
-		return disjunctiveBenchEntry{
-			CacheHitRate:    hitRate,
-			BytesPerNode:    bpn,
-			Model:           name,
-			Mode:            mode,
-			Workload:        "reachable+ex3",
-			Workers:         workers,
-			WallMS:          float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:   rs.PeakLiveNodes,
-			ImageCalls:      rs.ImageCalls,
-			PreimageCalls:   rs.PreimageCalls,
-			ClusterSteps:    rs.ClusterSteps,
-			DisjunctSteps:   rs.DisjunctSteps,
-			ParallelBatches: rs.ParallelBatches,
-			Clusters:        s.NumClusters(),
-			Components:      s.NumDisjuncts(),
-			ReachableStates: s.CountStates(reach),
-		}
-	}
-
-	var entries []disjunctiveBenchEntry
-	// Synchronous continuity entries: no disjuncts to run.
-	for _, name := range []string{"dining.smv", "mutex.smv"} {
-		for _, mode := range []string{"conjunctive", "monolithic"} {
-			e := run(name, fromFile(name), mode, 1)
-			e.Note = "synchronous model: no process components"
-			entries = append(entries, e)
-		}
-	}
-	// Interleaved models: conjunctive vs disjunctive (seq and parallel).
-	type interleaved struct {
-		name    string
-		compile func() (*kripke.Symbolic, error)
-	}
-	ringN := 8
-	models := []interleaved{
-		{"ring.smv", fromFile("ring.smv")},
-		{fmt.Sprintf("scaled-ring-%d", ringN), fromSource(scaledRingSource(ringN))},
-	}
-	for _, im := range models {
-		entries = append(entries,
-			run(im.name, im.compile, "conjunctive", 1),
-			run(im.name, im.compile, "disjunctive", 1),
-			run(im.name, im.compile, "disjunctive", 2),
-			run(im.name, im.compile, "disjunctive", 4),
-		)
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_disjunctive.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_disjunctive.json with %d entries", len(entries))
-
-	// Acceptance: on the scaled interleaved model the disjunctive image
-	// with >= 2 workers must beat the conjunctive schedule on peak live
-	// nodes or wall time.
-	key := func(model, mode string, workers int) *disjunctiveBenchEntry {
-		for i := range entries {
-			e := &entries[i]
-			if e.Model == model && e.Mode == mode && e.Workers == workers {
-				return e
-			}
-		}
-		return nil
-	}
-	scaled := fmt.Sprintf("scaled-ring-%d", ringN)
-	conj := key(scaled, "conjunctive", 1)
-	for _, w := range []int{2, 4} {
-		disj := key(scaled, "disjunctive", w)
-		if conj == nil || disj == nil {
-			t.Fatal("scaled-ring entries missing")
-		}
-		if disj.ParallelBatches == 0 {
-			t.Fatalf("workers=%d: no parallel batches recorded", w)
-		}
-		if disj.PeakLiveNodes >= conj.PeakLiveNodes && disj.WallMS >= conj.WallMS {
-			t.Errorf("workers=%d: disjunctive (peak %d, %.1fms) beats conjunctive (peak %d, %.1fms) on neither axis",
-				w, disj.PeakLiveNodes, disj.WallMS, conj.PeakLiveNodes, conj.WallMS)
-		}
-		if disj.ReachableStates != conj.ReachableStates {
-			t.Errorf("workers=%d: reachable count differs: %v vs %v", w, disj.ReachableStates, conj.ReachableStates)
-		}
+	s.SetWorkers(c.workers)
+	if sifted {
+		s.M.EnableAutoReorder(sift)
 	}
 }
 
-// --- BENCH_parallel.json: the shared-engine parallel-evaluation artifact
-//
-// TestRecordParallelBench is gated behind BENCH_PARALLEL=1 and writes
-// BENCH_parallel.json: the whole-reachability fixpoint on the
-// 8-station token ring (disjunctive image — components run as
-// concurrent jobs of one parallel section) and a bounded BFS frontier
-// sweep on the 8-cell scaled arbiter (conjunctive image — large
-// Apply/AndExists calls fork inside the shared engine; the full
-// fixpoint is out of reach at this size, matching the partition
-// bench's treatment of cells >= 6) for workers in {1, 2, 4, 8}.
-// workers=1 is the kernels' sequential context and the wall-time
-// baseline the parallel rows are judged against; every row is the
-// median of parallelBenchReps runs, and on a multi-core host the
-// arbiter's workers=2 median must beat its workers=1 median (the gate
-// the engine is kept on). Peak live nodes stay directly
-// comparable across worker counts because every schedule now runs on
-// ONE shared manager — no scratch arenas to add in. The host's core
-// count goes into the note (not the benchgate identity): wall-time
-// wins are only asserted when the host can actually run goroutines in
-// parallel.
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// parallelBenchReps is the number of runs each BENCH_parallel.json row
-// is the median of.
-const parallelBenchReps = 3
-
-type parallelBenchEntry struct {
-	Model             string  `json:"model"`
-	Mode              string  `json:"mode"`
-	Workload          string  `json:"workload"`
-	Workers           int     `json:"workers"`
-	WallMS            float64 `json:"wall_ms"`
-	PeakLiveNodes     int     `json:"peak_live_nodes"`
-	ParallelSections  uint64  `json:"parallel_sections,omitempty"`
-	ParallelJobs      uint64  `json:"parallel_jobs,omitempty"`
-	ParallelForks     uint64  `json:"parallel_forks,omitempty"`
-	PeakForksInFlight int     `json:"peak_forks_in_flight,omitempty"`
-	ReachableStates   float64 `json:"reachable_states,omitempty"`
-	CacheHitRate      float64 `json:"cache_hit_rate"`
-	Note              string  `json:"note,omitempty"`
+// readCounters fills the row's structure and manager counters; st0 is
+// the manager's Stats when the measured work began.
+func readCounters(s *kripke.Symbolic, st0 bdd.Stats, row *benchRow) {
+	m, rs, st := s.M, s.RelStats(), s.M.Stats
+	row.PeakLiveNodes = rs.PeakLiveNodes
+	row.FinalLiveNodes = m.NumNodes()
+	row.ImageCalls, row.PreimageCalls = rs.ImageCalls, rs.PreimageCalls
+	row.ClusterSteps, row.DisjunctSteps, row.ParallelBatches = rs.ClusterSteps, rs.DisjunctSteps, rs.ParallelBatches
+	row.AndExistsLookups = st.AndExistsLookups - st0.AndExistsLookups
+	row.AndExistsHits = st.AndExistsHits - st0.AndExistsHits
+	row.CacheHitRate = rs.CacheHitRate()
+	row.BytesPerNode = float64(m.ArenaBytes()) / float64(m.NumNodes())
+	row.Clusters, row.Components = s.NumClusters(), s.NumDisjuncts()
+	if p := s.Partition(); p != nil {
+		for _, c := range p.Clusters() {
+			row.SumClusterNodes += m.Size(c)
+		}
+	}
+	row.SiftEvents = st.AutoReorders - st0.AutoReorders
+	row.SiftPasses = st.SiftPasses - st0.SiftPasses
+	row.SiftTrials = st.SiftTrials - st0.SiftTrials
+	row.SiftSwaps = st.SiftSwaps - st0.SiftSwaps
+	row.SiftAborts = st.SiftAborts - st0.SiftAborts
+	row.SiftTimeouts = st.SiftTimeouts - st0.SiftTimeouts
+	row.NodesSaved = st.ReorderSavedNodes - st0.ReorderSavedNodes
+	row.ReorderMS = millis(st.ReorderTime - st0.ReorderTime)
+	row.ParallelSections = st.ParallelSections - st0.ParallelSections
+	row.ParallelJobs = st.ParallelJobs - st0.ParallelJobs
+	row.ParallelForks = st.ParallelForks - st0.ParallelForks
+	row.PeakForksInFlight = st.ParallelPeakInFlight
 }
 
-func TestRecordParallelBench(t *testing.T) {
-	if os.Getenv("BENCH_PARALLEL") != "1" {
-		t.Skip("set BENCH_PARALLEL=1 to record BENCH_parallel.json")
-	}
-	const gcThreshold = 1 << 16
-	note := fmt.Sprintf("cpus=%d gomaxprocs=%d median of %d", runtime.NumCPU(), runtime.GOMAXPROCS(0), parallelBenchReps)
+func isSpec(workload string) bool {
+	return strings.HasPrefix(workload, "ctl ") || strings.HasPrefix(workload, "ltl ")
+}
 
-	const boundedSteps = 10 // arbiter frontier sweep length (full fixpoint blows up)
-	type benchCase struct {
-		model    string
-		mode     string
-		workload string
-		compile  func() (*kripke.Symbolic, error)
-	}
-	cases := []benchCase{
-		{
-			model:    "scaled-ring-8",
-			mode:     "disjunctive",
-			workload: "reachable",
-			compile: func() (*kripke.Symbolic, error) {
-				c, err := smv.CompileSource(scaledRingSource(8))
-				if err != nil {
-					return nil, err
-				}
-				c.S.EnableDisjunct(true)
-				return c.S, nil
-			},
-		},
-		{
-			model:    "scaled-arbiter-k4",
-			mode:     "conjunctive",
-			workload: fmt.Sprintf("bfs-%d", boundedSteps),
-			compile:  func() (*kripke.Symbolic, error) { return circuit.ScaledArbiter(4).Compile() },
-		},
-	}
-
-	run := func(bc benchCase, workers int) parallelBenchEntry {
-		s, err := bc.compile()
+// runCase runs one repetition of a case.
+func runCase(t *testing.T, c benchCase) benchRow {
+	row := benchRow{Group: c.group, Model: c.model, Config: c.config, Workers: c.workers, Workload: c.workload}
+	switch {
+	case strings.HasPrefix(c.workload, "smvd "):
+		runSmvd(t, strings.TrimPrefix(c.workload, "smvd "), &row)
+	case isSpec(c.workload):
+		runSpec(t, c, &row)
+	default:
+		s, err := benchCompile(c.model)
 		if err != nil {
-			t.Fatalf("%s: %v", bc.model, err)
+			t.Fatalf("%s: %v", c.model, err)
 		}
-		m := s.M
-		m.SetGCThreshold(gcThreshold)
-		s.SetWorkers(workers)
-		m.GC()
-		s.ResetRelStats()
-		t0 := time.Now()
-		var reach bdd.Ref
-		if bc.workload == "reachable" {
-			reach, _ = s.Reachable()
+		configure(t, s, c, nil)
+		if c.workload == "trans-materialization" {
+			runMaterialize(s, &row)
 		} else {
-			reached := m.Protect(s.Init)
-			frontier := m.Protect(s.Init)
-			for i := 0; i < boundedSteps && frontier != bdd.False; i++ {
-				img := s.Image(frontier)
-				m.Unprotect(frontier)
-				frontier = m.Protect(m.Diff(img, reached))
-				m.Unprotect(reached)
-				reached = m.Protect(m.Or(reached, frontier))
-				m.MaybeGC()
-			}
-			m.Unprotect(frontier)
-			m.Unprotect(reached)
-			reach = reached
-		}
-		wall := time.Since(t0)
-		rs := s.RelStats()
-		hitRate, _ := arenaMetrics(s)
-		return parallelBenchEntry{
-			Model:             bc.model,
-			Mode:              bc.mode,
-			Workload:          bc.workload,
-			Workers:           workers,
-			WallMS:            float64(wall.Microseconds()) / 1000,
-			PeakLiveNodes:     rs.PeakLiveNodes,
-			ParallelSections:  m.Stats.ParallelSections,
-			ParallelJobs:      m.Stats.ParallelJobs,
-			ParallelForks:     m.Stats.ParallelForks,
-			PeakForksInFlight: m.Stats.ParallelPeakInFlight,
-			ReachableStates:   s.CountStates(reach),
-			CacheHitRate:      hitRate,
-			Note:              note,
+			runImage(t, s, c.workload, &row)
 		}
 	}
-
-	// Each row is the median-wall run of parallelBenchReps. The worker
-	// order rotates on every repetition, so no worker count always runs
-	// first on a cold heap.
-	workerCounts := []int{1, 2, 4, 8}
-	var entries []parallelBenchEntry
-	for _, bc := range cases {
-		samples := make(map[int][]parallelBenchEntry)
-		for rep := 0; rep < parallelBenchReps; rep++ {
-			for i := range workerCounts {
-				w := workerCounts[(rep+i)%len(workerCounts)]
-				samples[w] = append(samples[w], run(bc, w))
-			}
-		}
-		for _, w := range workerCounts {
-			runs := samples[w]
-			sort.Slice(runs, func(i, j int) bool { return runs[i].WallMS < runs[j].WallMS })
-			for _, r := range runs {
-				if r.ReachableStates != runs[0].ReachableStates {
-					t.Errorf("%s workers=%d: reachable count differs between repetitions: %v vs %v",
-						bc.model, w, r.ReachableStates, runs[0].ReachableStates)
-				}
-			}
-			entries = append(entries, runs[len(runs)/2])
-		}
-	}
-
-	out, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_parallel.json with %d entries (%s)", len(entries), note)
-
-	// Acceptance. Correctness and honesty first: same reachable count at
-	// every worker count, parallel rows really ran parallel sections, and
-	// the shared-manager peak stays under the retired scratch-arena
-	// schedule's ~51k-node high-water mark on the ring.
-	byWorkers := func(model string, workers int) *parallelBenchEntry {
-		for i := range entries {
-			if entries[i].Model == model && entries[i].Workers == workers {
-				return &entries[i]
-			}
-		}
-		t.Fatalf("missing entry %s workers=%d", model, workers)
-		return nil
-	}
-	const oldScratchSchedulePeak = 51_000
-	for _, bc := range cases {
-		seq := byWorkers(bc.model, 1)
-		for _, w := range []int{2, 4, 8} {
-			par := byWorkers(bc.model, w)
-			if par.ReachableStates != seq.ReachableStates {
-				t.Errorf("%s workers=%d: reachable count differs: %v vs %v",
-					bc.model, w, par.ReachableStates, seq.ReachableStates)
-			}
-			if par.ParallelSections == 0 {
-				t.Errorf("%s workers=%d: no parallel sections ran", bc.model, w)
-			}
-			if bc.model == "scaled-ring-8" && par.PeakLiveNodes >= oldScratchSchedulePeak {
-				t.Errorf("%s workers=%d: peak %d nodes exceeds the old scratch schedule's ~%d",
-					bc.model, w, par.PeakLiveNodes, oldScratchSchedulePeak)
-			}
-		}
-	}
-	// Wall time: on a multi-core host at least one whole-reachability run
-	// must be faster with 8 workers than sequential. On a single-core
-	// host parallel cannot win wall time — the engine must merely stay
-	// within bounded overhead of the sequential baseline.
-	if runtime.NumCPU() > 1 {
-		won := false
-		for _, bc := range cases {
-			if byWorkers(bc.model, 8).WallMS < byWorkers(bc.model, 1).WallMS {
-				won = true
-			}
-		}
-		if !won {
-			t.Errorf("workers=8 beat sequential wall time on no model (cpus=%d)", runtime.NumCPU())
-		}
-		// The gate that keeps the parallel engine (see ROADMAP "Engine
-		// diet"): a median win at workers=2 on large conjunctive image
-		// steps.
-		if seq, par := byWorkers("scaled-arbiter-k4", 1), byWorkers("scaled-arbiter-k4", 2); par.WallMS >= seq.WallMS {
-			t.Errorf("scaled-arbiter-k4: workers=2 median wall %.1fms does not beat workers=1 median %.1fms (cpus=%d)",
-				par.WallMS, seq.WallMS, runtime.NumCPU())
-		}
-	} else {
-		for _, bc := range cases {
-			seq, par := byWorkers(bc.model, 1), byWorkers(bc.model, 8)
-			if par.WallMS > 3*seq.WallMS+10 {
-				t.Errorf("%s: workers=8 wall %.1fms > 3x sequential %.1fms on a single-core host",
-					bc.model, par.WallMS, seq.WallMS)
-			}
-		}
-	}
+	return row
 }
 
-// --- BENCH_smvd.json: the persistent-server cache artifact ------------
-//
-// TestRecordSmvdBench is gated behind BENCH_SMVD=1 and writes
-// BENCH_smvd.json, the artifact for the smvd session cache:
-//
-//	cold_compile  first query on a fresh server: parse + compile +
-//	              reachability + fair set + all specs
-//	warm_query    median repeat query on the same session (cached
-//	              reachable/fair sets + subformula memo); its
-//	              warm_speedup over cold is the headline number and
-//	              must be at least 5x — the recorder refuses to write
-//	              a run below that
-//	warm_restart  first query after a simulated restart, seeded from
-//	              the on-disk serialize-v3 record; image_calls is
-//	              asserted zero (the reachability frontier is the only
-//	              Image user in CTL checking, so zero proves the
-//	              fixpoint was skipped)
-//	sustained     concurrent hot-query throughput
-//
-// The CI bench-smoke job gates peak_live_nodes (deterministic for a
-// fixed model) at 25% and warm_speedup — a same-machine ratio, so
-// runner speed cancels out — with a wide 90% band against the
-// committed baseline.
-
-type smvdBenchEntry struct {
-	Model           string  `json:"model"`
-	Phase           string  `json:"phase"`
-	WallMS          float64 `json:"wall_ms"`
-	PeakLiveNodes   int     `json:"peak_live_nodes,omitempty"`
-	CacheHitRate    float64 `json:"cache_hit_rate,omitempty"`
-	ReachableStates float64 `json:"reachable_states,omitempty"`
-	ReachIters      int     `json:"reach_iters,omitempty"`
-	WarmSpeedup     float64 `json:"warm_speedup,omitempty"`
-	ImageCalls      uint64  `json:"image_calls"`
-	QPS             float64 `json:"qps,omitempty"`
-	Queries         uint64  `json:"queries,omitempty"`
-	Note            string  `json:"note,omitempty"`
-}
-
-func TestRecordSmvdBench(t *testing.T) {
-	if os.Getenv("BENCH_SMVD") != "1" {
-		t.Skip("set BENCH_SMVD=1 to record BENCH_smvd.json")
-	}
-	const clients = 8
-	src := modelgen.ArbiterSource(clients)
-	specs, truth := modelgen.ArbiterSpecs(clients)
-	passing := specs[:2] // the ImageCalls==0 proof needs specs without counterexamples
-
-	verify := func(resp *smvd.CheckResponse, want []bool) {
-		t.Helper()
-		for i, v := range resp.Verdicts {
-			if v.Error != "" {
-				t.Fatalf("%q: %s", v.Spec, v.Error)
-			}
-			if v.Holds != want[i] {
-				t.Fatalf("%q: holds=%v want %v — refusing to record a wrong run",
-					v.Spec, v.Holds, want[i])
-			}
-		}
-	}
-
-	dir := t.TempDir()
-	cache, err := smvd.NewCache(8, 0, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := smvd.NewServer(cache)
-	req := &smvd.CheckRequest{Model: src, Specs: specs}
-
-	// Phase 1: cold.
+// runImage runs a reachability workload: bfs-10, reachable or
+// reachable+ex3. The monolithic relation is built inside the timed
+// region, by the first image step that needs it.
+func runImage(t *testing.T, s *kripke.Symbolic, workload string, row *benchRow) {
+	m := s.M
+	m.GC()
+	s.ResetRelStats()
+	st0 := m.Stats
 	t0 := time.Now()
-	cold, err := sv.Check(req)
-	coldWall := time.Since(t0)
+	var reach bdd.Ref
+	switch workload {
+	case "bfs-10":
+		reached, frontier := m.Protect(s.Init), m.Protect(s.Init)
+		for i := 0; i < bfsSteps && frontier != bdd.False; i++ {
+			img := s.Image(frontier)
+			m.Unprotect(frontier)
+			frontier = m.Protect(m.Diff(img, reached))
+			m.Unprotect(reached)
+			reached = m.Protect(m.Or(reached, frontier))
+			m.MaybeGC()
+		}
+		m.Unprotect(frontier)
+		m.Unprotect(reached)
+		reach = reached
+	case "reachable", "reachable+ex3":
+		reach, row.ReachIters = s.Reachable()
+		if workload == "reachable+ex3" {
+			for i, pre := 0, reach; i < 3; i++ {
+				pre = s.Preimage(pre)
+			}
+		}
+	default:
+		t.Fatalf("unknown workload %q", workload)
+	}
+	row.WallMS = millis(time.Since(t0))
+	readCounters(s, st0, row)
+	row.ReachableStates = s.CountStates(reach)
+	if !s.PartitionEnabled() {
+		row.TransNodes = m.Size(s.Trans())
+	}
+}
+
+// runMaterialize tries to build the monolithic relation under a node
+// and time budget, recording where it gives out: the conjunction is
+// the object partitioning avoids.
+func runMaterialize(s *kripke.Symbolic, row *benchRow) {
+	m := s.M
+	p := s.Partition()
+	st0 := m.Stats
+	t0 := time.Now()
+	acc := m.Protect(bdd.True)
+	for i, c := range p.Clusters() {
+		next := m.Protect(m.And(acc, c))
+		m.Unprotect(acc)
+		acc = next
+		if m.NumNodes() > monoNodeBudget || time.Since(t0) > monoBuildTimeout {
+			row.Aborted = true
+			row.Note = fmt.Sprintf("monolithic Trans BDD aborted at cluster %d/%d: node budget %d exceeded; partial conjunction already %d nodes",
+				i+1, p.NumClusters(), monoNodeBudget, m.Size(acc))
+			break
+		}
+	}
+	row.WallMS = millis(time.Since(t0))
+	readCounters(s, st0, row)
+	row.PeakLiveNodes = m.NumNodes()
+	if !row.Aborted {
+		row.TransNodes = m.Size(acc)
+	}
+	m.Unprotect(acc)
+}
+
+// runSpec checks one spec on a fresh compile: a SPEC through the
+// witness generator, its trace validated; an LTLSPEC through the
+// tableau product, its lasso replayed. A wrong verdict is never
+// recorded.
+func runSpec(t *testing.T, c benchCase, row *benchRow) {
+	src, err := benchSource(c.model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Warm {
-		t.Fatal("cold query reported warm")
+	module, err := smv.ParseModule(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	verify(cold, truth)
-	ss := sv.Cache.Sessions()
-	if len(ss) != 1 {
-		t.Fatalf("got %d sessions", len(ss))
-	}
-	entries := []smvdBenchEntry{{
-		Model:           fmt.Sprintf("arbiter-%d", clients),
-		Phase:           "cold_compile",
-		WallMS:          float64(coldWall.Microseconds()) / 1000,
-		PeakLiveNodes:   ss[0].Rel.PeakLiveNodes,
-		CacheHitRate:    ss[0].CacheHitRate,
-		ReachableStates: cold.ReachableStates,
-		ReachIters:      cold.ReachIters,
-		ImageCalls:      ss[0].Rel.ImageCalls,
-	}}
-
-	// Phase 2: warm queries on the hot session; median of several runs.
-	var warmWalls []time.Duration
-	for i := 0; i < 7; i++ {
-		t0 = time.Now()
-		warm, err := sv.Check(req)
-		warmWalls = append(warmWalls, time.Since(t0))
+	var (
+		s        *kripke.Symbolic
+		check    func(*mc.Checker) (bool, *core.Trace, error)
+		validate func(*core.Trace) error
+	)
+	if strings.HasPrefix(c.workload, "ctl ") {
+		cmp, err := smv.CompileSource(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !warm.Warm {
-			t.Fatal("repeat query not warm")
+		s = cmp.S
+		check = func(ch *mc.Checker) (bool, *core.Trace, error) {
+			return core.NewGenerator(ch).CounterexampleInit(cmp.Module.Specs[c.spec].Formula)
 		}
-		verify(warm, truth)
+		validate = func(tr *core.Trace) error { return core.ValidatePath(s, tr) }
+	} else {
+		sp := module.LTLSpecs[c.spec]
+		p, err := smv.CompileLTL(module, sp.Formula, sp.Source)
+		if err != nil {
+			t.Fatalf("%s %s: %v", c.model, sp.Source, err)
+		}
+		s, check, validate = p.S, p.Check, p.ReplayCounterexample
+		row.TableauVars, row.FairnessSets = len(p.ElemVars), len(p.S.Fair)
 	}
-	sort.Slice(warmWalls, func(i, j int) bool { return warmWalls[i] < warmWalls[j] })
-	warmWall := warmWalls[len(warmWalls)/2]
-	speedup := float64(coldWall) / float64(warmWall)
-	if speedup < 5 {
-		t.Fatalf("warm query only %.1fx faster than cold (%v vs %v) — below the 5x floor",
-			speedup, warmWall, coldWall)
+	// No collection first: the sift trigger measures growth from the
+	// compiled arena, garbage included.
+	configure(t, s, c, &latticeReorder)
+	s.ResetRelStats()
+	st0 := s.M.Stats
+	t0 := time.Now()
+	ch := mc.New(s)
+	holds, tr, err := check(ch)
+	row.WallMS = millis(time.Since(t0))
+	if err != nil {
+		t.Fatalf("%s %s: %v", c.model, c.workload, err)
 	}
-	entries = append(entries, smvdBenchEntry{
-		Model:       fmt.Sprintf("arbiter-%d", clients),
-		Phase:       "warm_query",
-		WallMS:      float64(warmWall.Microseconds()) / 1000,
-		WarmSpeedup: speedup,
-	})
+	readCounters(s, st0, row)
+	row.Holds = &holds
+	if holds != c.want {
+		t.Fatalf("%s %s: got %v, want %v — refusing to record a wrong run", c.model, c.workload, holds, c.want)
+	}
+	if tr != nil {
+		if err := validate(tr); err != nil {
+			t.Fatalf("%s %s: invalid trace: %v", c.model, c.workload, err)
+		}
+		row.LassoStem, row.LassoCycle = len(tr.States), 0
+		if tr.IsLasso() {
+			row.LassoStem, row.LassoCycle = tr.CycleStart, len(tr.States)-tr.CycleStart
+		}
+	}
+	ch.Close()
+}
 
-	// Phase 3: sustained concurrent hot-query throughput.
-	const hammerWorkers, perWorker = 4, 100
-	var wg sync.WaitGroup
-	t0 = time.Now()
-	for w := 0; w < hammerWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if _, err := sv.Check(req); err != nil {
-					t.Error(err)
-					return
+// runSmvd runs one phase of the smvd session cache on a fresh server
+// over the 8-client arbiter. Every phase starts with its own cold
+// query, the baseline of its warm speedup.
+//
+//	cold_compile  the cold query: parse, compile, reachability, fair
+//	              set and all specs
+//	warm_query    median of 7 repeat queries on the hot session
+//	sustained     concurrent hot-query throughput, 4 clients
+//	warm_restart  first query on a new server seeded from the on-disk
+//	              record; it must be disk-warm and run no image step
+func runSmvd(t *testing.T, phase string, row *benchRow) {
+	const clients = 8
+	src := modelgen.ArbiterSource(clients)
+	specs, truth := modelgen.ArbiterSpecs(clients)
+	dir := t.TempDir()
+	newServer := func() *smvd.Server {
+		cache, err := smvd.NewCache(8, 0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return smvd.NewServer(cache)
+	}
+	query := func(sv *smvd.Server, req *smvd.CheckRequest, want []bool) (*smvd.CheckResponse, time.Duration) {
+		t0 := time.Now()
+		resp, err := sv.Check(req)
+		wall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range resp.Verdicts {
+			if v.Error != "" || v.Holds != want[i] {
+				t.Fatalf("%q: holds=%v want %v (%s) — refusing to record a wrong run", v.Spec, v.Holds, want[i], v.Error)
+			}
+		}
+		return resp, wall
+	}
+	session := func(sv *smvd.Server) smvd.SessionStats {
+		ss := sv.Cache.Sessions()
+		if len(ss) != 1 {
+			t.Fatalf("got %d sessions", len(ss))
+		}
+		return ss[0]
+	}
+	sv := newServer()
+	req := &smvd.CheckRequest{Model: src, Specs: specs}
+	cold, coldWall := query(sv, req, truth)
+	if cold.Warm {
+		t.Fatal("cold query reported warm")
+	}
+	switch phase {
+	case "cold_compile":
+		ss := session(sv)
+		row.WallMS = millis(coldWall)
+		row.PeakLiveNodes, row.CacheHitRate, row.ImageCalls = ss.Rel.PeakLiveNodes, ss.CacheHitRate, ss.Rel.ImageCalls
+		row.ReachableStates, row.ReachIters = cold.ReachableStates, cold.ReachIters
+	case "warm_query":
+		var walls []time.Duration
+		for i := 0; i < 7; i++ {
+			warm, wall := query(sv, req, truth)
+			if !warm.Warm {
+				t.Fatal("repeat query not warm")
+			}
+			walls = append(walls, wall)
+		}
+		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
+		row.WallMS = millis(walls[len(walls)/2])
+		row.WarmSpeedup = float64(coldWall) / float64(walls[len(walls)/2])
+	case "sustained":
+		const hammerClients, perClient = 4, 100
+		var wg sync.WaitGroup
+		t0 := time.Now()
+		for w := 0; w < hammerClients; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perClient; i++ {
+					if _, err := sv.Check(req); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		hammer := time.Since(t0)
+		row.WallMS, row.Queries = millis(hammer), hammerClients*perClient
+		row.QPS = hammerClients * perClient / hammer.Seconds()
+	case "warm_restart":
+		if err := sv.Cache.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		sv2 := newServer()
+		// Passing specs only: a counterexample's witness would run
+		// image steps of its own.
+		restart, wall := query(sv2, &smvd.CheckRequest{Model: src, Specs: specs[:2]}, truth[:2])
+		if !restart.Warm || restart.WarmSource != "disk" {
+			t.Fatalf("restart not disk-warm: warm=%v source=%q", restart.Warm, restart.WarmSource)
+		}
+		row.WallMS = millis(wall)
+		row.ReachableStates, row.ReachIters = restart.ReachableStates, restart.ReachIters
+		row.ImageCalls = session(sv2).Rel.ImageCalls
+		row.WarmSpeedup = float64(coldWall) / float64(wall)
+		row.Note = "compile re-runs on restart; reach/fair/sift restored from disk"
+	default:
+		t.Fatalf("unknown smvd phase %q", phase)
+	}
+}
+
+// benchCheck is one acceptance assertion over recorded rows; keys
+// names the rows it reads, in the order ok receives them.
+type benchCheck struct {
+	name string
+	keys []benchKey
+	ok   func(r []*benchRow) error
+}
+
+// benchChecks returns the acceptance assertions a recording must pass.
+func benchChecks(cases []benchCase) []benchCheck {
+	key := func(model, config string, workers int, workload string) benchKey {
+		return benchKey{model, config, workers, workload}
+	}
+	k2, k4, ring := "scaled-arbiter-k2", "scaled-arbiter-k4", "scaled-ring-8"
+	checks := []benchCheck{
+		{"8 cells: partitioned bfs-10 completes below the aborted monolithic build",
+			[]benchKey{key(k4, "partitioned", 1, "bfs-10"), key(k4, "monolithic", 1, "trans-materialization")},
+			func(r []*benchRow) error {
+				if r[0].Aborted || !r[1].Aborted || r[0].PeakLiveNodes >= r[1].PeakLiveNodes {
+					return fmt.Errorf("partitioned aborted=%v peak %d, monolithic aborted=%v peak %d",
+						r[0].Aborted, r[0].PeakLiveNodes, r[1].Aborted, r[1].PeakLiveNodes)
+				}
+				return nil
+			}},
+		{"4 cells: partitioned beats monolithic on wall time and peak",
+			[]benchKey{key(k2, "partitioned", 1, "reachable+ex3"), key(k2, "monolithic", 1, "reachable+ex3")},
+			func(r []*benchRow) error {
+				if r[0].WallMS >= r[1].WallMS || r[0].PeakLiveNodes >= r[1].PeakLiveNodes {
+					return fmt.Errorf("partitioned (%.1fms, %d nodes) vs monolithic (%.1fms, %d nodes)",
+						r[0].WallMS, r[0].PeakLiveNodes, r[1].WallMS, r[1].PeakLiveNodes)
+				}
+				return nil
+			}},
+		{"8 cells: sifting swaps and peaks below the unsifted run",
+			[]benchKey{key(k4, "partitioned+sift", 1, "bfs-10"), key(k4, "partitioned", 1, "bfs-10")},
+			func(r []*benchRow) error {
+				if r[0].SiftEvents == 0 || r[0].SiftSwaps == 0 || r[0].PeakLiveNodes >= r[1].PeakLiveNodes {
+					return fmt.Errorf("%d sift events, %d swaps, peak %d vs %d unsifted",
+						r[0].SiftEvents, r[0].SiftSwaps, r[0].PeakLiveNodes, r[1].PeakLiveNodes)
+				}
+				return nil
+			}},
+	}
+	var scaledLTL []benchKey
+	for _, c := range cases {
+		if !isSpec(c.workload) {
+			continue
+		}
+		want := c.want
+		checks = append(checks, benchCheck{"verdict " + c.model + " " + c.workload, []benchKey{c.benchKey},
+			func(r []*benchRow) error {
+				if r[0].Holds == nil || *r[0].Holds != want {
+					return fmt.Errorf("recorded verdict differs from scenarioVerdicts (%v)", want)
+				}
+				return nil
+			}})
+		if (c.model == "hanoi-7" || c.model == "chase-16") && strings.HasPrefix(c.workload, "ltl ") {
+			scaledLTL = append(scaledLTL, c.benchKey)
+		}
+	}
+	checks = append(checks, benchCheck{"a scaled LTL product triggers auto-reordering", scaledLTL,
+		func(r []*benchRow) error {
+			for _, row := range r {
+				if row.SiftEvents > 0 {
+					return nil
 				}
 			}
-		}()
+			return fmt.Errorf("no sift event in %d rows", len(r))
+		}})
+	for _, w := range []int{2, 4} {
+		checks = append(checks, benchCheck{fmt.Sprintf("ring-8: disjunctive workers=%d batches in parallel and beats partitioned", w),
+			[]benchKey{key(ring, "disjunctive", w, "reachable+ex3"), key(ring, "partitioned", 1, "reachable+ex3")},
+			func(r []*benchRow) error {
+				d, p := r[0], r[1]
+				switch {
+				case d.ParallelBatches == 0:
+					return fmt.Errorf("no parallel batches")
+				case d.PeakLiveNodes >= p.PeakLiveNodes && d.WallMS >= p.WallMS:
+					return fmt.Errorf("disjunctive (peak %d, %.1fms) beats partitioned (peak %d, %.1fms) on neither axis",
+						d.PeakLiveNodes, d.WallMS, p.PeakLiveNodes, p.WallMS)
+				case d.ReachableStates != p.ReachableStates:
+					return fmt.Errorf("reachable count differs: %v vs %v", d.ReachableStates, p.ReachableStates)
+				}
+				return nil
+			}})
 	}
-	wg.Wait()
-	hammer := time.Since(t0)
-	entries = append(entries, smvdBenchEntry{
-		Model:   fmt.Sprintf("arbiter-%d", clients),
-		Phase:   "sustained",
-		WallMS:  float64(hammer.Microseconds()) / 1000,
-		QPS:     hammerWorkers * perWorker / hammer.Seconds(),
-		Queries: hammerWorkers * perWorker,
-	})
+	// The parallel sweep: same counts at every worker count, parallel
+	// sections really ran, and the ring's shared-manager peak stays
+	// under the retired scratch-arena schedule's ~51k nodes.
+	sweeps := []benchKey{key(k4, "partitioned", 1, "bfs-10"), key(ring, "disjunctive", 1, "reachable")}
+	for _, seq := range sweeps {
+		for _, w := range []int{2, 4, 8} {
+			par := seq
+			par.workers = w
+			checks = append(checks, benchCheck{fmt.Sprintf("%s workers=%d: parallel sections, equal counts", seq.model, w),
+				[]benchKey{seq, par},
+				func(r []*benchRow) error {
+					switch {
+					case r[1].ReachableStates != r[0].ReachableStates:
+						return fmt.Errorf("reachable count differs: %v vs %v", r[1].ReachableStates, r[0].ReachableStates)
+					case r[1].ParallelSections == 0:
+						return fmt.Errorf("no parallel sections ran")
+					case par.model == ring && r[1].PeakLiveNodes >= 51_000:
+						return fmt.Errorf("peak %d nodes exceeds the old scratch schedule's ~51k", r[1].PeakLiveNodes)
+					}
+					return nil
+				}})
+		}
+	}
+	// Wall time: where goroutines can run in parallel, workers=8 beats
+	// sequential on some sweep and workers=2 beats it on the arbiter
+	// (the gate that keeps the parallel engine, ROADMAP "Engine diet").
+	// On one P parallel cannot win; it must stay within bounded
+	// overhead.
+	wide := func(k benchKey, w int) benchKey { k.workers = w; return k }
+	checks = append(checks, benchCheck{"parallel wall time",
+		[]benchKey{sweeps[0], wide(sweeps[0], 2), wide(sweeps[0], 8), sweeps[1], wide(sweeps[1], 8)},
+		func(r []*benchRow) error {
+			if runtime.GOMAXPROCS(0) == 1 {
+				for _, p := range [][2]*benchRow{{r[0], r[2]}, {r[3], r[4]}} {
+					if p[1].WallMS > 3*p[0].WallMS+10 {
+						return fmt.Errorf("%s: workers=8 wall %.1fms > 3x sequential %.1fms at GOMAXPROCS=1", p[0].Model, p[1].WallMS, p[0].WallMS)
+					}
+				}
+				return nil
+			}
+			if r[2].WallMS >= r[0].WallMS && r[4].WallMS >= r[3].WallMS {
+				return fmt.Errorf("workers=8 beat sequential wall time on no sweep (%.1f vs %.1fms, %.1f vs %.1fms)",
+					r[2].WallMS, r[0].WallMS, r[4].WallMS, r[3].WallMS)
+			}
+			if r[1].WallMS >= r[0].WallMS {
+				return fmt.Errorf("%s: workers=2 median wall %.1fms does not beat workers=1 median %.1fms", k4, r[1].WallMS, r[0].WallMS)
+			}
+			return nil
+		}})
+	smvdKey := func(phase string) benchKey { return key("arbiter-8", "partitioned", 1, "smvd "+phase) }
+	checks = append(checks,
+		benchCheck{"smvd: warm query at least 5x faster than cold", []benchKey{smvdKey("warm_query")},
+			func(r []*benchRow) error {
+				if r[0].WarmSpeedup < 5 {
+					return fmt.Errorf("warm speedup %.1fx", r[0].WarmSpeedup)
+				}
+				return nil
+			}},
+		benchCheck{"smvd: disk-warm restart skips reachability", []benchKey{smvdKey("warm_restart"), smvdKey("cold_compile")},
+			func(r []*benchRow) error {
+				if r[0].ImageCalls != 0 || r[0].ReachableStates != r[1].ReachableStates || r[0].ReachIters != r[1].ReachIters {
+					return fmt.Errorf("restart ran %d image calls, reach %v/%d vs cold %v/%d",
+						r[0].ImageCalls, r[0].ReachableStates, r[0].ReachIters, r[1].ReachableStates, r[1].ReachIters)
+				}
+				return nil
+			}})
+	return checks
+}
 
-	// Phase 4: warm restart from the serialize-v3 record.
-	if err := sv.Cache.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	cache2, err := smvd.NewCache(8, 0, dir)
+// TestBenchTable checks the case table without recording: identities
+// are unique and every row an acceptance assertion reads is a case.
+func TestBenchTable(t *testing.T) {
+	cases, err := benchCases()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv2 := smvd.NewServer(cache2)
-	t0 = time.Now()
-	restart, err := sv2.Check(&smvd.CheckRequest{Model: src, Specs: passing})
-	restartWall := time.Since(t0)
-	if err != nil {
-		t.Fatal(err)
+	seen := map[benchKey]bool{}
+	for _, c := range cases {
+		if seen[c.benchKey] {
+			t.Errorf("duplicate case %+v", c.benchKey)
+		}
+		seen[c.benchKey] = true
 	}
-	if !restart.Warm || restart.WarmSource != "disk" {
-		t.Fatalf("restart not disk-warm: warm=%v source=%q", restart.Warm, restart.WarmSource)
+	for _, ck := range benchChecks(cases) {
+		if len(ck.keys) == 0 {
+			t.Errorf("%s: reads no rows", ck.name)
+		}
+		for _, k := range ck.keys {
+			if !seen[k] {
+				t.Errorf("%s: no case %+v", ck.name, k)
+			}
+		}
 	}
-	verify(restart, truth[:2])
-	if restart.ReachableStates != cold.ReachableStates || restart.ReachIters != cold.ReachIters {
-		t.Fatalf("warm restart changed reachability: %v/%d vs %v/%d",
-			restart.ReachableStates, restart.ReachIters, cold.ReachableStates, cold.ReachIters)
-	}
-	ss2 := sv2.Cache.Sessions()
-	if len(ss2) != 1 {
-		t.Fatalf("got %d sessions after restart", len(ss2))
-	}
-	if ss2[0].Rel.ImageCalls != 0 {
-		t.Fatalf("warm restart ran %d image calls — reachability was not skipped", ss2[0].Rel.ImageCalls)
-	}
-	entries = append(entries, smvdBenchEntry{
-		Model:           fmt.Sprintf("arbiter-%d", clients),
-		Phase:           "warm_restart",
-		WallMS:          float64(restartWall.Microseconds()) / 1000,
-		ReachableStates: restart.ReachableStates,
-		ReachIters:      restart.ReachIters,
-		ImageCalls:      ss2[0].Rel.ImageCalls,
-		WarmSpeedup:     float64(coldWall) / float64(restartWall),
-		Note:            "compile re-runs on restart; reach/fair/sift restored from disk",
-	})
+}
 
-	out, err := json.MarshalIndent(entries, "", "  ")
+func TestRecordBench(t *testing.T) {
+	if os.Getenv("BENCH_RECORD") != "1" {
+		t.Skip("set BENCH_RECORD=1 to record BENCH_rows.json")
+	}
+	start := time.Now()
+	cases, err := benchCases()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_smvd.json", append(out, '\n'), 0o644); err != nil {
+	var order []string
+	sweeps := map[string][]int{}
+	for i, c := range cases {
+		id := c.model + "|" + c.workload
+		if _, ok := sweeps[id]; !ok {
+			order = append(order, id)
+		}
+		sweeps[id] = append(sweeps[id], i)
+	}
+	host := hostFingerprint()
+	rows := make([]benchRow, len(cases))
+	for _, id := range order {
+		sweep := sweeps[id]
+		samples := make([][]benchRow, len(sweep))
+		for rep := 0; rep < benchReps; rep++ {
+			for i := range sweep {
+				j := (i + rep) % len(sweep)
+				samples[j] = append(samples[j], runCase(t, cases[sweep[j]]))
+			}
+		}
+		for j, runs := range samples {
+			c := cases[sweep[j]]
+			sort.Slice(runs, func(a, b int) bool { return runs[a].WallMS < runs[b].WallMS })
+			for _, r := range runs[1:] {
+				if c.workers == 1 && r.counters() != runs[0].counters() {
+					t.Errorf("%+v: counters differ between repetitions:\n%s\n%s", c.benchKey, r.counters(), runs[0].counters())
+				} else if r.ReachableStates != runs[0].ReachableStates {
+					t.Errorf("%+v: reachable count differs between repetitions: %v vs %v", c.benchKey, r.ReachableStates, runs[0].ReachableStates)
+				}
+			}
+			rows[sweep[j]] = runs[len(runs)/2]
+			rows[sweep[j]].Host = host
+		}
+	}
+
+	var out bytes.Buffer
+	out.WriteString("[\n")
+	for i, r := range rows {
+		line, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(line)
+		if i < len(rows)-1 {
+			out.WriteByte(',')
+		}
+		out.WriteByte('\n')
+	}
+	out.WriteString("]\n")
+	if err := os.WriteFile("BENCH_rows.json", out.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote BENCH_smvd.json with %d entries (cold %.2fms, warm %.3fms, %.0fx, restart %.2fms)",
-		len(entries), float64(coldWall.Microseconds())/1000,
-		float64(warmWall.Microseconds())/1000, speedup,
-		float64(restartWall.Microseconds())/1000)
+	t.Logf("wrote BENCH_rows.json: %d rows, %d repetitions each, in %v", len(rows), benchReps, time.Since(start).Round(time.Second))
+
+	byKey := map[benchKey]*benchRow{}
+	for i := range rows {
+		byKey[cases[i].benchKey] = &rows[i]
+	}
+	for _, ck := range benchChecks(cases) {
+		r := make([]*benchRow, len(ck.keys))
+		for i, k := range ck.keys {
+			r[i] = byKey[k]
+		}
+		if err := ck.ok(r); err != nil {
+			t.Errorf("%s: %v", ck.name, err)
+		}
+	}
 }

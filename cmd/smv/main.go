@@ -303,8 +303,10 @@ func main() {
 		fmt.Printf("\n-- statistics\n")
 		fmt.Printf("state variables:    %d (BDD variables: %d)\n", len(compiled.S.Vars), m.NumVars())
 		fmt.Printf("live BDD nodes:     %d\n", m.NumNodes())
+		// CacheHits includes the AndExists hits, CacheLookups does not
+		// include their lookups: subtract them for the ITE/binary pair.
 		fmt.Printf("ITE calls:          %d (cache hits %d / lookups %d)\n",
-			m.Stats.ITECalls, m.Stats.CacheHits, m.Stats.CacheLookups)
+			m.Stats.ITECalls, m.Stats.CacheHits-m.Stats.AndExistsHits, m.Stats.CacheLookups)
 		rel := compiled.S.RelStats()
 		fmt.Printf("computed cache:     %.1f%% hit rate (%d hits / %d lookups), unique-table load %.2f, complement edges %v\n",
 			100*rel.CacheHitRate(), rel.CacheHits, rel.CacheLookups,

@@ -137,11 +137,10 @@ type Manager struct {
 
 	roots map[Ref]int // protected external references
 
-	// Live-root registry (see reorder.go): every registered rewriter is
-	// invoked after a reorder to translate the Refs its owner holds, and
-	// its refs are treated as GC roots.
-	rewriters  []rewriter
-	nextHookID int
+	// Live-root registry (see reorder.go): the refs every registered
+	// visitor reports are GC roots.
+	rootVisitors []rootVisitor
+	nextHookID   int
 
 	groups [][]int // variable blocks that sift as one unit (GroupVars)
 
@@ -167,6 +166,11 @@ type Manager struct {
 }
 
 // Stats records operation counters for benchmarking and regression tests.
+//
+// CacheLookups counts ITE and binary-cache lookups only, while CacheHits
+// counts their hits plus the AndExists hits; the combined computed-cache
+// rate is CacheHits / (CacheLookups + AndExistsLookups) (see
+// kripke.RelStats.CacheHitRate).
 type Stats struct {
 	ITECalls     uint64
 	CacheHits    uint64

@@ -1,7 +1,7 @@
 package bdd
 
 // Mark-and-sweep garbage collection. Live nodes are those reachable from
-// the protected roots (see Protect) or from a registered rewriter's refs
+// the protected roots (see Protect) or from a registered root visitor's refs
 // (see OnReorder/RegisterRefs). Collection never moves nodes, so
 // protected and registered Refs stay valid; all other Refs obtained
 // before a collection must be considered invalid afterwards. The
@@ -23,11 +23,10 @@ func (m *Manager) GC() int {
 	for r := range m.roots {
 		m.mark(r)
 	}
-	for _, rw := range m.rewriters {
-		rw.fn(func(r Ref) Ref {
+	for _, rv := range m.rootVisitors {
+		rv.visit(func(r Ref) {
 			m.checkRef(r)
 			m.mark(r)
-			return r
 		})
 	}
 	// Sweep: rebuild the free list and every level's subtable (counts

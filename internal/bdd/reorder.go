@@ -18,12 +18,10 @@ import (
 // What makes reordering *dynamic* (usable mid-computation rather than
 // only offline) is the live-root registry: long-lived holders of Refs —
 // symbolic structures, checkers, saved witness rings — register a
-// rewriter callback (OnReorder) or plain pointers (RegisterRefs).
+// root visitor (OnReorder) or plain pointers (RegisterRefs).
 // Registered refs are GC roots, and every reorder collects garbage
 // first, so registration is what keeps a Ref alive across a reorder.
-// After every committed reorder each rewriter fires with a translation
-// function, which is the identity since swaps move no node: the hook
-// still fires so downstream caches invalidate on the same schedule.
+// Swaps move no node, so a registered Ref needs no rewriting afterwards.
 //
 // Sifting moves one block at a time: each GroupVars block (typically a
 // current/next state-variable pair) travels as a unit, tried at every
@@ -37,47 +35,46 @@ import (
 // when the live-node count exceeds GrowthTrigger times the post-last-sift
 // size.
 
-// rewriter is one registered reorder hook. The callback must be
-// deterministic: it is invoked several times per reorder (to mark its
-// refs during the collection, to count them for the swap session, then
-// to commit), and every invocation must visit the same refs.
-type rewriter struct {
-	id int
-	fn func(translate func(Ref) Ref)
+// rootVisitor is one registered root set. The callback runs on every
+// collection (to mark its refs) and at the start of every swap session
+// (to count them); a reorder collects first, and both runs within it
+// must visit the same refs.
+type rootVisitor struct {
+	id    int
+	visit func(visit func(Ref))
 }
 
-// OnReorder registers a rewriter callback and returns an id for
-// Unregister. After every committed reorder the callback is invoked with
-// a translation function and must pass every Ref its owner retains
-// through it, storing the results back. The translation is currently the
-// identity (swaps keep every Ref), so the call is the owner's signal to
-// drop order-dependent caches. The refs the callback visits are
-// also marked during garbage collection, so they need no separate
-// Protect. The callback must not invoke manager operations.
-func (m *Manager) OnReorder(fn func(translate func(Ref) Ref)) int {
+// OnReorder registers a root visitor and returns an id for Unregister.
+// The callback must pass every Ref its owner retains to visit; those
+// refs are marked during garbage collection, so they need no separate
+// Protect and survive every reorder (swaps keep every Ref where it is).
+// The callback reads the owner's current fields on each call, so refs
+// reassigned between calls are tracked. It must not invoke manager
+// operations.
+func (m *Manager) OnReorder(fn func(visit func(Ref))) int {
 	m.nextHookID++
-	m.rewriters = append(m.rewriters, rewriter{id: m.nextHookID, fn: fn})
+	m.rootVisitors = append(m.rootVisitors, rootVisitor{id: m.nextHookID, visit: fn})
 	return m.nextHookID
 }
 
-// RegisterRefs registers plain Ref pointers: after every reorder each
-// *p is rewritten in place, and the referenced nodes survive GC. Returns
-// an id for Unregister. Typical use is protecting a fixpoint loop's
-// local variables across safe points.
+// RegisterRefs registers plain Ref pointers: the nodes each *p refers
+// to at collection time survive GC and reordering. Returns an id for
+// Unregister. Typical use is protecting a fixpoint loop's local
+// variables across safe points.
 func (m *Manager) RegisterRefs(ps ...*Ref) int {
-	return m.OnReorder(func(translate func(Ref) Ref) {
+	return m.OnReorder(func(visit func(Ref)) {
 		for _, p := range ps {
-			*p = translate(*p)
+			visit(*p)
 		}
 	})
 }
 
-// Unregister removes a rewriter previously installed with OnReorder or
-// RegisterRefs. Unknown ids are ignored.
+// Unregister removes a root visitor previously installed with OnReorder
+// or RegisterRefs. Unknown ids are ignored.
 func (m *Manager) Unregister(id int) {
-	for i, rw := range m.rewriters {
-		if rw.id == id {
-			m.rewriters = append(m.rewriters[:i], m.rewriters[i+1:]...)
+	for i, rv := range m.rootVisitors {
+		if rv.id == id {
+			m.rootVisitors = append(m.rootVisitors[:i], m.rootVisitors[i+1:]...)
 			return
 		}
 	}
@@ -261,12 +258,12 @@ func (m *Manager) Reorder(order []int, roots []Ref) []Ref {
 	return out
 }
 
-// registerSlice registers every element of rs with the reorder registry
+// registerSlice registers every element of rs with the root registry
 // and returns the id for Unregister.
 func (m *Manager) registerSlice(rs []Ref) int {
-	return m.OnReorder(func(translate func(Ref) Ref) {
-		for i := range rs {
-			rs[i] = translate(rs[i])
+	return m.OnReorder(func(visit func(Ref)) {
+		for _, r := range rs {
+			visit(r)
 		}
 	})
 }

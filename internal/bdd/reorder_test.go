@@ -149,9 +149,9 @@ func TestAutoReorderPreservesRegisteredRoots(t *testing.T) {
 
 		roots := make([]Ref, 0, rootsPerTrial)
 		tables := make([]bitTable, 0, rootsPerTrial)
-		id := m.OnReorder(func(translate func(Ref) Ref) {
-			for i := range roots {
-				roots[i] = translate(roots[i])
+		id := m.OnReorder(func(visit func(Ref)) {
+			for _, r := range roots {
+				visit(r)
 			}
 		})
 

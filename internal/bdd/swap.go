@@ -10,7 +10,7 @@ import (
 // Exchanging the variables at levels l and l+1 rewrites only the nodes
 // stored in those two levels' subtables. Every node keeps its arena
 // index, so every Ref held anywhere — other levels, protected roots,
-// registered rewriters, plain locals — stays valid across the swap with
+// registered root visitors, plain locals — stays valid across the swap with
 // its denotation unchanged. That is what makes a sift trial cheap: no
 // arena rebuild, no root rewriting, just local surgery plus an exact
 // update of the per-level live counts.
@@ -53,18 +53,17 @@ import (
 //
 // Liveness during a sift is tracked by a session-scoped refcount array
 // (siftState): in-edges of live nodes plus one per protected root and
-// per rewriter-held ref. Counts can transiently reach zero and be
+// per registered ref. Counts can transiently reach zero and be
 // revived within a swap (an inner mk may reuse the structure), so frees
 // are deferred to a dead-candidate stack drained at the end of each
 // swap.
 
 // siftState is the bookkeeping of one in-place sift session.
 type siftState struct {
-	rc            []int32  // per-node refcount: in-edges + roots + rewriter refs
+	rc            []int32  // per-node refcount: in-edges + roots + registered refs
 	zero          []uint32 // dead candidates: nodes whose refcount hit zero
 	upper, lower  []uint32 // detachLevel scratch
 	startOrder    []int    // level2var when the session opened
-	swaps         uint64   // swaps executed this session
 	cachesCleared bool     // op caches dropped (lazily, at the first swap)
 	timedOut      bool     // SiftMaxTime expired
 }
@@ -110,31 +109,22 @@ func (m *Manager) beginSwapSession() {
 	for r := range m.roots {
 		st.bump(r)
 	}
-	for _, rw := range m.rewriters {
-		rw.fn(func(r Ref) Ref {
+	for _, rv := range m.rootVisitors {
+		rv.visit(func(r Ref) {
 			m.checkRef(r)
 			st.bump(r)
-			return r
 		})
 	}
 	m.sift = st
 }
 
-// endSwapSession commits the session. An order change counts as one
-// reordering, and if any swap ran every rewriter fires with the identity
-// translation: Refs survived the swaps untranslated, but the hook
-// contract is that rewriters fire after every committed reorder —
-// clients key their own cache invalidation off that signal.
+// endSwapSession commits the session: an order change counts as one
+// reordering. Refs survive the swaps untouched, so no holder is told.
 func (m *Manager) endSwapSession() {
 	st := m.sift
 	m.sift = nil
 	if !equalOrder(st.startOrder, m.level2var) {
 		m.Stats.Reorderings++
-	}
-	if st.swaps > 0 {
-		for _, rw := range m.rewriters {
-			rw.fn(func(r Ref) Ref { return r })
-		}
 	}
 }
 
@@ -216,7 +206,6 @@ func (m *Manager) swapLevels(l int) {
 		st.cachesCleared = true
 	}
 	m.Stats.SiftSwaps++
-	st.swaps++
 
 	lvlU, lvlL := uint32(l), uint32(l+1)
 	st.upper = m.detachLevel(l, st.upper[:0])

@@ -281,8 +281,8 @@ type disjunctTask struct {
 // intermediate results is found in the shared caches rather than
 // recomputed per arena. Automatic reordering and GC wait for the
 // section boundary (the engine's safe point), so no order-alignment
-// bookkeeping is needed; the registered args translate as usual if a
-// reorder fires at the safe point before the batch.
+// bookkeeping is needed; the registered args survive a reorder that
+// fires at the safe point before the batch.
 func (s *Symbolic) disjunctApplyParallel(args []bdd.Ref, pre bool) bdd.Ref {
 	m := s.M
 	d := s.disj
@@ -347,10 +347,10 @@ func (s *Symbolic) reachableDisjunct() (bdd.Ref, int) {
 	k := len(d.comps)
 	reached := m.Protect(s.Init)
 	fed := make([]bdd.Ref, k) // zero value bdd.False
-	id := m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
-		reached = translate(reached)
-		for i := range fed {
-			fed[i] = translate(fed[i])
+	id := m.OnReorder(func(visit func(bdd.Ref)) {
+		visit(reached)
+		for _, f := range fed {
+			visit(f)
 		}
 	})
 	parallel := s.workers > 1 && k > 1

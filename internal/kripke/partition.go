@@ -86,19 +86,20 @@ type RelStats struct {
 	// actually skipped.
 	ReachableReuses uint64
 
-	// Computed-cache traffic of the underlying manager (ITE, binary and
-	// AndExists lookups all funnel through these counters) accumulated
-	// since the last ResetRelStats, and the unique-table load factor
-	// sampled when RelStats() is called. Together they make the
-	// normalization win of complement edges visible without a profiler:
-	// higher hit rate, same load, fewer nodes.
+	// Computed-cache traffic of the underlying manager accumulated since
+	// the last ResetRelStats: lookups and hits of all three caches (ITE,
+	// binary and AndExists) combined, so CacheHits never exceeds
+	// CacheLookups. The unique-table load factor is sampled when
+	// RelStats() is called. Together they make the normalization win of
+	// complement edges visible without a profiler: higher hit rate, same
+	// load, fewer nodes.
 	CacheLookups    uint64
 	CacheHits       uint64
 	UniqueTableLoad float64
 }
 
-// CacheHitRate returns the computed-cache hit rate in [0,1], or 0 when
-// no lookups have happened yet.
+// CacheHitRate returns the combined computed-cache hit rate in [0,1],
+// or 0 when no lookups have happened yet.
 func (r RelStats) CacheHitRate() float64 {
 	if r.CacheLookups == 0 {
 		return 0
@@ -109,7 +110,10 @@ func (r RelStats) CacheHitRate() float64 {
 // RelStats returns the accumulated relational-product counters.
 func (s *Symbolic) RelStats() RelStats {
 	out := s.relStats
-	out.CacheLookups = s.M.Stats.CacheLookups - s.stats0.CacheLookups
+	// bdd.Stats counts AndExists lookups apart from CacheLookups but
+	// AndExists hits inside CacheHits; add them back to match.
+	out.CacheLookups = s.M.Stats.CacheLookups + s.M.Stats.AndExistsLookups -
+		s.stats0.CacheLookups - s.stats0.AndExistsLookups
 	out.CacheHits = s.M.Stats.CacheHits - s.stats0.CacheHits
 	out.UniqueTableLoad = s.M.UniqueTableLoadFactor()
 	return out

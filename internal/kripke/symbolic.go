@@ -105,55 +105,55 @@ func NewSymbolic(names []string, opts ...bdd.Option) *Symbolic {
 		m.GroupVars(2*i, 2*i+1)
 	}
 	s.finishVars()
-	m.OnReorder(s.rewriteRefs)
+	m.OnReorder(s.visitRefs)
 	return s
 }
 
-// rewriteRefs is the structure's reorder hook: every long-lived Ref the
+// visitRefs is the structure's root visitor: every long-lived Ref the
 // structure holds — initial states, invariant, fairness sets, atoms,
 // quantification cubes, the monolithic relation, and the partition's
-// clusters and schedule cubes — is rewritten in place after a reorder.
-func (s *Symbolic) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
-	s.Init = translate(s.Init)
-	s.Invar = translate(s.Invar)
+// clusters and schedule cubes — survives collection and reordering.
+func (s *Symbolic) visitRefs(visit func(bdd.Ref)) {
+	visit(s.Init)
+	visit(s.Invar)
 	if s.transValid {
-		s.trans = translate(s.trans)
+		visit(s.trans)
 	}
-	for i := range s.Fair {
-		s.Fair[i] = translate(s.Fair[i])
+	for _, f := range s.Fair {
+		visit(f)
 	}
-	for k, v := range s.atoms {
-		s.atoms[k] = translate(v)
+	for _, a := range s.atoms {
+		visit(a)
 	}
-	s.curCube = translate(s.curCube)
-	s.nextCube = translate(s.nextCube)
+	visit(s.curCube)
+	visit(s.nextCube)
 	if s.hasSuccValid {
-		s.hasSucc = translate(s.hasSucc)
+		visit(s.hasSucc)
 	}
 	if s.reachValid {
-		s.reach = translate(s.reach)
+		visit(s.reach)
 	}
 	if p := s.part; p != nil {
-		for i := range p.clusters {
-			p.clusters[i] = translate(p.clusters[i])
+		for _, c := range p.clusters {
+			visit(c)
 		}
-		for i := range p.pre.cubes {
-			p.pre.cubes[i] = translate(p.pre.cubes[i])
+		for _, c := range p.pre.cubes {
+			visit(c)
 		}
-		p.pre.free = translate(p.pre.free)
-		for i := range p.img.cubes {
-			p.img.cubes[i] = translate(p.img.cubes[i])
+		visit(p.pre.free)
+		for _, c := range p.img.cubes {
+			visit(c)
 		}
-		p.img.free = translate(p.img.free)
+		visit(p.img.free)
 	}
 	if d := s.disj; d != nil {
 		for i := range d.comps {
 			c := &d.comps[i]
-			c.rel = translate(c.rel)
-			c.imgCube = translate(c.imgCube)
-			c.imgFree = translate(c.imgFree)
-			c.preCube = translate(c.preCube)
-			c.preFree = translate(c.preFree)
+			visit(c.rel)
+			visit(c.imgCube)
+			visit(c.imgFree)
+			visit(c.preCube)
+			visit(c.preFree)
 		}
 	}
 }

@@ -62,7 +62,7 @@ type Checker struct {
 
 	memo map[string]bdd.Ref // formula string -> protected state set
 
-	hook int // reorder-registry id (see rewriteRefs)
+	hook int // root-registry id (see visitRefs)
 }
 
 // New creates a checker for the structure. The checker registers with
@@ -72,19 +72,19 @@ type Checker struct {
 // checker before its manager.
 func New(s *kripke.Symbolic) *Checker {
 	c := &Checker{S: s, care: bdd.True, memo: map[string]bdd.Ref{}}
-	c.hook = s.M.OnReorder(c.rewriteRefs)
+	c.hook = s.M.OnReorder(c.visitRefs)
 	return c
 }
 
-// rewriteRefs is the checker's reorder hook.
-func (c *Checker) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
-	for k, v := range c.memo {
-		c.memo[k] = translate(v)
+// visitRefs is the checker's root visitor.
+func (c *Checker) visitRefs(visit func(bdd.Ref)) {
+	for _, v := range c.memo {
+		visit(v)
 	}
 	if c.haveFair {
-		c.fairSet = translate(c.fairSet)
+		visit(c.fairSet)
 	}
-	c.care = translate(c.care)
+	visit(c.care)
 }
 
 // Close unregisters the checker from the reorder registry and drops its
@@ -205,11 +205,11 @@ func (c *Checker) euApprox(f, g bdd.Ref, keepRings bool) (bdd.Ref, []bdd.Ref) {
 	// The returned rings are only guaranteed until the caller's next
 	// operation: callers keeping them must protect and register them
 	// (FairEG does) or pause reordering (the witness generator does).
-	id := m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
-		f = translate(f)
-		q = translate(q)
-		for i := range rings {
-			rings[i] = translate(rings[i])
+	id := m.OnReorder(func(visit func(bdd.Ref)) {
+		visit(f)
+		visit(q)
+		for _, r := range rings {
+			visit(r)
 		}
 	})
 	defer m.Unregister(id)

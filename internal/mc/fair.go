@@ -33,12 +33,12 @@ type Rings struct {
 // register installs the rings' reorder hook. PerFair may still grow
 // afterwards; the hook reads the current slices on every invocation.
 func (r *Rings) register(m *bdd.Manager) {
-	r.hook = m.OnReorder(func(translate func(bdd.Ref) bdd.Ref) {
-		r.F = translate(r.F)
-		r.Result = translate(r.Result)
+	r.hook = m.OnReorder(func(visit func(bdd.Ref)) {
+		visit(r.F)
+		visit(r.Result)
 		for _, rs := range r.PerFair {
-			for i := range rs {
-				rs[i] = translate(rs[i])
+			for _, ring := range rs {
+				visit(ring)
 			}
 		}
 	})
@@ -52,8 +52,8 @@ func (r *Rings) register(m *bdd.Manager) {
 func (c *Checker) FairEG(f bdd.Ref) (bdd.Ref, *Rings) {
 	m := c.S.M
 	// c.S.Fair aliases the structure's slice, whose elements the
-	// structure's reorder hook rewrites in place — reading fair[k] inside
-	// the loops always sees current refs.
+	// structure's root visitor keeps alive across collection and
+	// reordering.
 	fair := c.S.Fair
 	nFair := len(fair)
 	useTrue := nFair == 0

@@ -308,9 +308,10 @@ func compile(m *Module, la *ltlAttachment, opts CompileOptions) (*Compiled, erro
 		}
 	}
 	// The DEFINE memo holds raw refs that spec-atom resolution and later
-	// evaluation read; register them so dynamic reordering rewrites them
-	// in place (the structure's own hook covers everything else).
-	mgr.OnReorder(c.rewriteRefs)
+	// evaluation read; register them so they survive collection and
+	// dynamic reordering (the structure's own visitor covers everything
+	// else).
+	mgr.OnReorder(c.visitRefs)
 	return c, nil
 }
 
@@ -350,17 +351,17 @@ func (c *Compiled) emitDisjuncts(transClusters []bdd.Ref) error {
 	return nil
 }
 
-// rewriteRefs is the compiled model's reorder hook.
-func (c *Compiled) rewriteRefs(translate func(bdd.Ref) bdd.Ref) {
+// visitRefs is the compiled model's root visitor.
+func (c *Compiled) visitRefs(visit func(bdd.Ref)) {
 	seen := map[*result]bool{}
 	for _, r := range c.defMemo {
 		if r == nil || seen[r] {
 			continue
 		}
 		seen[r] = true
-		r.b = translate(r.b)
-		for i := range r.cases {
-			r.cases[i].cond = translate(r.cases[i].cond)
+		visit(r.b)
+		for _, cs := range r.cases {
+			visit(cs.cond)
 		}
 	}
 }

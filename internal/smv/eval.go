@@ -439,7 +439,7 @@ func (c *Compiled) registerAtoms() error {
 	for _, name := range defines {
 		// DEFINEs act as boolean atoms and as eq-atoms when valued.
 		// Evaluate through the memo (evalIdent) so the eq-atom closure
-		// below aliases the case slice the reorder hook rewrites in place.
+		// below aliases the case slice the root visitor keeps alive.
 		r, err := c.evalIdent(&Ident{Name: name}, false)
 		if err != nil {
 			return err

@@ -3,6 +3,8 @@ package smvd
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/modelgen"
 )
 
 const counterModel = `
@@ -277,5 +279,46 @@ func TestLTLQuery(t *testing.T) {
 	}
 	if v := r.Verdicts[1]; v.Holds || v.Error != "" || !v.Validated {
 		t.Fatalf("G n = 0 should fail with a validated lasso: %+v", v)
+	}
+}
+
+// TestSessionCacheHitRateIsFraction: over random generated models with
+// their CTL/LTL specs, the arbiter and the hanoi puzzle with sifting on,
+// sequentially and on the parallel engine, every session reports no
+// more computed-cache hits than lookups and a hit rate in [0,1].
+func TestSessionCacheHitRateIsFraction(t *testing.T) {
+	arbSpecs, _ := modelgen.ArbiterSpecs(6)
+	for _, workers := range []int{1, 2} {
+		reqs := []*CheckRequest{
+			{Model: modelgen.ArbiterSource(6), Specs: arbSpecs},
+			{Model: modelgen.HanoiSource(5), Config: Config{Reorder: true}, Specs: []string{"EF goal", "AG !goal", "AG EF goal"}, LTL: []string{"F goal"}},
+		}
+		for seed := int64(0); seed < 8; seed++ {
+			gm := modelgen.Generate(seed)
+			req := &CheckRequest{Model: gm.Source(), Config: Config{Disjunctive: len(gm.Procs) > 0}}
+			for _, sp := range gm.CTL {
+				req.Specs = append(req.Specs, sp.Text)
+			}
+			for _, sp := range gm.LTL {
+				req.LTL = append(req.LTL, sp.Text)
+			}
+			reqs = append(reqs, req)
+		}
+		for i, req := range reqs {
+			req.Config.Workers = workers
+			sv := newTestServer(t, 4, 0, "")
+			for range 2 { // cold, then warm
+				if _, err := sv.Check(req); err != nil {
+					t.Fatalf("case %d: %v", i, err)
+				}
+			}
+			for _, ss := range sv.Cache.Sessions() {
+				if ss.Rel.CacheLookups == 0 || ss.Rel.CacheHits > ss.Rel.CacheLookups ||
+					ss.CacheHitRate < 0 || ss.CacheHitRate > 1 {
+					t.Fatalf("workers=%d case %d: %d hits / %d lookups, rate %v",
+						workers, i, ss.Rel.CacheHits, ss.Rel.CacheLookups, ss.CacheHitRate)
+				}
+			}
+		}
 	}
 }
